@@ -1,14 +1,21 @@
-"""CSV serialization for waveforms, spectra, transmission tables, and gains.
+"""CSV serialization for waveforms, spectra, transmission tables, gains and metrics.
 
-All writers emit a header row and shortest round-trip float formatting, so
-write -> read -> write is byte-identical for files this package produced.
-Readers validate uniform axis spacing to 1e-6 relative and snap the spacing
-to the exact float the writer used when one reproduces every axis value.
+All writers emit a header row and shortest round-trip float formatting
+(`repr` of the float64 value), so write -> read -> write is byte-identical
+for files this package produced.  Rows are formatted and written in blocks
+of BLOCK_ROWS, one column at a time.  The first column of every file is a
+time or detuning axis; its formatted text is memoised for the last two
+distinct axes, so the artifacts of one pipeline format each axis once.
+Readers parse block by block into a float64 array, reject non-finite cells,
+validate uniform axis spacing to 1e-6 relative and snap the spacing to the
+exact float the writer used when one reproduces every axis value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +33,41 @@ SPECTRUM_HEADER = "detuning_hz,re,im"
 INTENSITY_SPECTRUM_HEADER = "detuning_hz,intensity"
 TRANSMISSION_HEADER = "detuning_hz,transmission"
 GAIN_HEADER = "detuning_hz,intensity_gain"
+METRICS_HEADER = "metric,value"
+
+# rows formatted, written or parsed per step; bounds the transient text held
+BLOCK_ROWS = 1024
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+@functools.lru_cache(maxsize=2)
+def _axis_blocks(raw: bytes) -> tuple[str, ...]:
+    """Formatted axis values, newline-joined per block of BLOCK_ROWS."""
+    axis = np.frombuffer(raw, dtype=np.float64)
+    return tuple(
+        "\n".join(map(repr, axis[lo:lo + BLOCK_ROWS].tolist()))
+        for lo in range(0, axis.size, BLOCK_ROWS)
+    )
 
 
 def _write_csv(path, header: str, columns) -> None:
-    rows = zip(*columns)
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    axis, *data = (np.asarray(c, dtype=np.float64) for c in columns)
+    if axis.ndim != 1 or any(c.shape != axis.shape for c in data):
+        raise ValidationError(
+            f"{path}: columns must be 1-D and of one length, got shapes "
+            f"{[axis.shape] + [c.shape for c in data]}"
+        )
+    with open(path, "w", encoding="ascii") as f:
+        f.write(header + "\n")
+        for lo, axis_text in zip(range(0, axis.size, BLOCK_ROWS), _axis_blocks(axis.tobytes())):
+            cells = [axis_text.split("\n")]
+            cells += [map(repr, c[lo:lo + BLOCK_ROWS].tolist()) for c in data]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_metrics_csv(path, rows) -> None:
+    """Write (name, value) pairs as metric,value rows."""
+    lines = [METRICS_HEADER]
+    lines.extend(f"{key},{float(value)!r}" for key, value in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -50,17 +82,29 @@ def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
             f"{path}: header {header!r} not one of {sorted(expected_headers)}"
         )
     n_cols = header.count(",") + 1
-    try:
-        data = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[1:] if line],
-            dtype=np.float64,
-        )
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed numeric row ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != n_cols:
-        raise ValidationError(f"{path}: expected {n_cols} columns throughout")
-    if data.shape[0] < 2:
+    rows = list(filter(None, lines[1:]))
+    if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows")
+    data = np.empty((len(rows), n_cols), dtype=np.float64)
+    flat = data.reshape(-1)
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = list(map(str.split, rows[lo:lo + BLOCK_ROWS], repeat(",")))
+        if set(map(len, block)) != {n_cols}:
+            raise ValidationError(f"{path}: expected {n_cols} columns throughout")
+        k = len(block) * n_cols
+        try:
+            flat[lo * n_cols:lo * n_cols + k] = np.fromiter(
+                map(float, chain.from_iterable(block)), dtype=np.float64, count=k
+            )
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed numeric row ({exc})") from exc
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        row, col = divmod(int(bad[0]), n_cols)
+        raise ValidationError(
+            f"{path}: non-finite value {float(flat[bad[0]])} "
+            f"in data row {row + 1}, column {col + 1}"
+        )
     return header, data
 
 

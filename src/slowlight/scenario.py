@@ -289,7 +289,5 @@ def run_scenario(sc: Scenario) -> dict[str, float]:
         ):
             sio.write_intensity_csv(out / f"component_{label}.csv", intensity_of(w))
 
-    lines = ["metric,value"]
-    lines.extend(f"{key},{repr(float(value))}" for key, value in rows)
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    sio.write_metrics_csv(out / "metrics.csv", rows)
     return dict(rows)
