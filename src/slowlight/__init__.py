@@ -26,13 +26,11 @@ from .medium import (
     group_delay,
     intensity_transmission,
     phase_response,
-    transfer_function,
     transmission_lookup,
 )
 from .propagation import (
     Channel,
     EdgeEnergyWarning,
-    channel_transmission,
     field_response,
     propagate_spectrum,
     propagate_waveform,
@@ -50,8 +48,6 @@ from .signal import (
     gaussian_spectral_fwhm,
     intensity_of,
     synth,
-    synth_amg,
-    synth_gaussian,
 )
 from .spectral import (
     Spectrum,
@@ -90,7 +86,6 @@ __all__ = [
     "amplitude_response",
     "band_extract",
     "calibrate_from_transmission",
-    "channel_transmission",
     "compensate_intensity_spectrum",
     "decompose_components",
     "default_grid",
@@ -113,8 +108,5 @@ __all__ = [
     "recover_waveform",
     "run_scenario",
     "synth",
-    "synth_amg",
-    "synth_gaussian",
-    "transfer_function",
     "transmission_lookup",
 ]

@@ -20,25 +20,16 @@ from .spectral import Spectrum, band_extract, dft, fwhm, idft, peak_location
 
 _TWO_PI = 2.0 * math.pi
 
-MODEL = "model"
-MEASURED = "measured"
-
 
 @dataclass(frozen=True)
 class CompensationConfig:
-    """floor: minimum intensity transmission used as divisor; source names
-    where the transmission spectrum comes from (analytic model or table)."""
+    """floor: minimum intensity transmission used as divisor."""
 
     floor: float = 1e-3
-    source: str = MODEL
 
     def __post_init__(self) -> None:
         if not 0.0 < self.floor < 1.0:
             raise ValidationError(f"floor must lie in (0, 1), got {self.floor}")
-        if self.source not in (MODEL, MEASURED):
-            raise ValidationError(
-                f"source must be {MODEL!r} or {MEASURED!r}, got {self.source!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,7 @@ def _validated_transmission(transmission, n: int) -> np.ndarray:
     t = np.asarray(transmission, dtype=np.float64)
     if t.shape != (n,):
         raise ValidationError(f"transmission has shape {t.shape}, expected ({n},)")
-    if np.any((t < 0) | (t > 1)):
+    if not np.all((t >= 0) & (t <= 1)):
         raise ValidationError("per-bin transmission must lie in [0, 1]")
     return t
 
@@ -86,7 +77,7 @@ def recover_waveform(s_out: Spectrum, transmission, cfg: CompensationConfig) -> 
 def export_gain_spectrum(transmission, cfg: CompensationConfig) -> np.ndarray:
     """Per-bin intensity gain 1/max(transmission, floor) an amplifier would need."""
     t = np.asarray(transmission, dtype=np.float64)
-    if np.any((t < 0) | (t > 1)):
+    if not np.all((t >= 0) & (t <= 1)):
         raise ValidationError("per-bin transmission must lie in [0, 1]")
     return 1.0 / np.maximum(t, cfg.floor)
 

@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Each subcommand wraps one library operation and speaks the package's CSV
-formats.  Exit codes: 0 ok, 2 validation error, 3 numeric guard, 4 I/O error.
+Each pipeline subcommand is one stage of scenario.run_scenario: synth,
+propagate, compensate, decompose and metrics parse their options, read their
+input CSV files, call the stage and write what it returns, so a chain of
+subcommands on a scenario's parameters writes the same bytes as
+`slowlight run`.  Exit codes: 0 ok, 2 validation error, 3 numeric guard,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -12,28 +16,23 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import io as sio
-from .analysis import (
-    MEASURED,
-    MODEL,
-    CompensationConfig,
-    compensate_intensity_spectrum,
-    decompose_components,
-    export_gain_spectrum,
-    measure_metrics,
-    recover_waveform,
-)
+from .analysis import CompensationConfig
 from .errors import NumericError, ValidationError
-from .medium import (
-    EitMedium,
-    calibrate_from_transmission,
-    intensity_transmission,
-    transmission_lookup,
+from .medium import EitMedium, MeasuredTransmission
+from .propagation import EdgeEnergyWarning
+from .scenario import (
+    BUNDLED_SCENARIOS,
+    MEDIUM_KEYS,
+    compensate,
+    decompose,
+    load_scenario,
+    metric_rows,
+    propagate,
+    pulse_grid,
+    resolve_medium,
+    run_scenario,
 )
-from .propagation import Channel, EdgeEnergyWarning, propagate_spectrum, warn_if_wrapped
-from .scenario import BUNDLED_SCENARIOS, load_scenario, run_scenario
 from .signal import (
     AMG,
     GAUSSIAN,
@@ -42,11 +41,10 @@ from .signal import (
     SamplingGrid,
     Waveform,
     amplitude_from_intensity,
-    default_grid,
     intensity_of,
     synth,
 )
-from .spectral import Spectrum, dft, idft, intensity_spectrum
+from .spectral import Spectrum, dft
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -64,15 +62,13 @@ def _add_medium_args(p: argparse.ArgumentParser) -> None:
 
 
 def _medium_from_args(args: argparse.Namespace) -> EitMedium:
-    if args.gamma_khz is not None:
-        if args.z is None:
-            raise ValidationError("--gamma-khz needs --z")
-        return EitMedium(gamma_eit=args.gamma_khz * 1e3, z=args.z, scale=args.scale)
-    if args.peak is not None or args.background is not None or args.fwhm_khz is not None:
-        if None in (args.peak, args.background, args.fwhm_khz):
-            raise ValidationError("calibration needs --peak, --background and --fwhm-khz")
-        return calibrate_from_transmission(args.peak, args.background, args.fwhm_khz * 1e3)
-    raise ValidationError("specify a medium: --gamma-khz/--z or --peak/--background/--fwhm-khz")
+    return resolve_medium({key: getattr(args, key, None) for key in MEDIUM_KEYS})
+
+
+def _table_from_args(args: argparse.Namespace) -> MeasuredTransmission | None:
+    if args.transmission_file:
+        return sio.read_transmission_csv(args.transmission_file)
+    return None
 
 
 def _load_waveform(path) -> Waveform:
@@ -103,7 +99,6 @@ def _print_kv(key: str, value: float) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    kind = args.kind
     t0 = args.t0_us * 1e-6 if args.t0_us is not None else None
     if args.intensity_fwhm_us is not None:
         if t0 is not None:
@@ -112,20 +107,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if t0 is None:
         raise ValidationError("give --t0-us or --intensity-fwhm-us")
     spec = PulseSpec(
-        kind=kind,
+        kind=args.kind,
         t0=t0,
         mod_depth=args.depth,
         mod_freq=args.mod_khz * 1e3,
         center=args.center_us * 1e-6,
     )
-    if args.n is not None or args.window_us is not None:
-        if args.n is None or args.window_us is None:
-            raise ValidationError("grid overrides need both --n and --window-us")
-        window = args.window_us * 1e-6
-        grid = SamplingGrid(n=args.n, dt=window / args.n, t_start=spec.center - window / 2)
-    else:
-        grid = default_grid(spec)
-    w = synth(spec, grid)
+    window = args.window_us * 1e-6 if args.window_us is not None else None
+    w = synth(spec, pulse_grid(spec, args.n, window))
     sio.write_waveform_csv(args.out, w)
     if args.spectrum_out:
         sio.write_spectrum_csv(args.spectrum_out, dft(w))
@@ -133,7 +122,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    medium = calibrate_from_transmission(args.peak, args.background, args.fwhm_khz * 1e3)
+    medium = _medium_from_args(args)
     _print_kv("gamma_khz", medium.gamma_eit / 1e3)
     _print_kv("z", medium.z)
     _print_kv("scale", medium.scale)
@@ -143,26 +132,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_propagate(args: argparse.Namespace) -> int:
     w = _load_waveform(args.input)
     medium = _medium_from_args(args)
-    if args.transmission_file:
-        table = sio.read_transmission_csv(args.transmission_file)
-        channel = Channel.hybrid(table, medium)
-    else:
-        channel = Channel.analytic(medium)
-    s_out = propagate_spectrum(dft(w), channel)
-    out = idft(s_out)
-    warn_if_wrapped(out)
+    _, s_out, out = propagate(w, medium, _table_from_args(args))
     sio.write_intensity_csv(args.out, intensity_of(out))
     if args.spectrum_out:
         sio.write_spectrum_csv(args.spectrum_out, s_out)
     return EXIT_OK
-
-
-def _transmission_for(args: argparse.Namespace, deltas: np.ndarray) -> np.ndarray:
-    if args.transmission_file:
-        table = sio.read_transmission_csv(args.transmission_file)
-        return np.asarray(transmission_lookup(table, deltas))
-    medium = _medium_from_args(args)
-    return np.asarray(intensity_transmission(medium, deltas))
 
 
 def _cmd_compensate(args: argparse.Namespace) -> int:
@@ -170,48 +144,32 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
         s_out = _spectrum_on_grid(args.spectrum, _load_waveform(args.time_ref).grid)
     else:
         s_out = sio.read_spectrum_csv(args.spectrum)
-    deltas = s_out.detunings()
-    transmission = _transmission_for(args, deltas)
-    source = MEASURED if args.transmission_file else MODEL
-    cfg = CompensationConfig(floor=args.floor, source=source)
-    recovered = recover_waveform(s_out, transmission, cfg)
+    table = _table_from_args(args)
+    medium = _medium_from_args(args) if table is None else None
+    compensated, recovered, gain = compensate(
+        s_out, medium, table, CompensationConfig(floor=args.floor)
+    )
     sio.write_intensity_csv(args.out, intensity_of(recovered))
+    deltas = s_out.detunings()
     if args.compensated_spectrum_out:
-        compensated = compensate_intensity_spectrum(intensity_spectrum(s_out), transmission, cfg)
         sio.write_intensity_spectrum_csv(args.compensated_spectrum_out, deltas, compensated)
     if args.gain_out:
-        sio.write_gain_csv(args.gain_out, deltas, export_gain_spectrum(transmission, cfg))
+        sio.write_gain_csv(args.gain_out, deltas, gain)
     return EXIT_OK
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     w_in = _load_waveform(args.input)
-    s_in = dft(w_in)
     s_out = _spectrum_on_grid(args.spectrum, w_in.grid)
-    parts = decompose_components(s_out, s_in, args.mod_khz * 1e3)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for label, w in (
-        ("carrier", parts.carrier),
-        ("left", parts.left),
-        ("right", parts.right),
-        ("reference", parts.reference),
-    ):
-        sio.write_intensity_csv(outdir / f"component_{label}.csv", intensity_of(w))
-    _print_kv("carrier_delay_s", parts.carrier_delay)
-    _print_kv("left_delay_s", parts.left_delay)
-    _print_kv("right_delay_s", parts.right_delay)
+    for key, value in decompose(s_out, dft(w_in), args.mod_khz * 1e3, Path(args.out_dir)):
+        _print_kv(key, value)
     return EXIT_OK
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     out = _load_waveform(args.out_file)
-    ref = _load_waveform(args.in_file)
-    m = measure_metrics(out, ref)
-    _print_kv("delay_s", m.delay)
-    _print_kv("loss", m.loss)
-    _print_kv("nrmse", m.nrmse)
-    _print_kv("fwhm_s", m.fwhm_time)
+    for key, value in metric_rows("", out, _load_waveform(args.in_file)):
+        _print_kv(key, value)
     return EXIT_OK
 
 

@@ -2,13 +2,14 @@
 
 All writers emit a header row and shortest round-trip float formatting
 (`repr` of the float64 value), so write -> read -> write is byte-identical
-for files this package produced.  Rows are formatted and written in blocks
-of BLOCK_ROWS, one column at a time.  The first column of every file is a
-time or detuning axis; its formatted text is memoised for the last two
-distinct axes, so the artifacts of one pipeline format each axis once.
-Readers parse block by block into a float64 array, reject non-finite cells,
-validate uniform axis spacing to 1e-6 relative and snap the spacing to the
-exact float the writer used when one reproduces every axis value.
+for files this package produced.  Writers reject non-finite values before
+opening the file, since the readers reject them too.  Rows are formatted and
+written in blocks of BLOCK_ROWS, one column at a time.  The first column of
+every file is a time or detuning axis; its formatted text is memoised for the
+last two distinct axes, so the artifacts of one pipeline format each axis
+once.  Readers parse block by block into a float64 array, reject non-finite
+cells, validate uniform axis spacing to 1e-6 relative and snap the spacing to
+the exact float the writer used when one reproduces every axis value.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ def _axis_blocks(raw: bytes) -> tuple[str, ...]:
     )
 
 
+def _reject_non_finite(path, data: np.ndarray) -> None:
+    """Raise on the first non-finite cell, in row order, of a rows x columns array."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), data.shape[1])
+        raise ValidationError(
+            f"{path}: non-finite value {float(data[row, col])} "
+            f"in data row {row + 1}, column {col + 1}"
+        )
+
+
 def _write_csv(path, header: str, columns) -> None:
     axis, *data = (np.asarray(c, dtype=np.float64) for c in columns)
     if axis.ndim != 1 or any(c.shape != axis.shape for c in data):
@@ -56,6 +68,7 @@ def _write_csv(path, header: str, columns) -> None:
             f"{path}: columns must be 1-D and of one length, got shapes "
             f"{[axis.shape] + [c.shape for c in data]}"
         )
+    _reject_non_finite(path, np.column_stack((axis, *data)))
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")
         for lo, axis_text in zip(range(0, axis.size, BLOCK_ROWS), _axis_blocks(axis.tobytes())):
@@ -98,13 +111,7 @@ def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
             )
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed numeric row ({exc})") from exc
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        row, col = divmod(int(bad[0]), n_cols)
-        raise ValidationError(
-            f"{path}: non-finite value {float(flat[bad[0]])} "
-            f"in data row {row + 1}, column {col + 1}"
-        )
+    _reject_non_finite(path, data)
     return header, data
 
 

@@ -31,15 +31,11 @@ class EitMedium:
     gamma_eit : half-linewidth of the transparency window, Hz
     z         : normalized propagation length (optical depth), dimensionless
     scale     : peak intensity transmission in (0, 1]
-    omega_rabi, gamma_ground : optional microscopic parameters; when both are
-        given they must satisfy gamma_eit = omega_rabi^2 / gamma_ground.
     """
 
     gamma_eit: float
     z: float
     scale: float = 1.0
-    omega_rabi: float | None = None
-    gamma_ground: float | None = None
 
     def __post_init__(self) -> None:
         if not self.gamma_eit > 0:
@@ -48,19 +44,6 @@ class EitMedium:
             raise ValidationError(f"z must be nonnegative, got {self.z}")
         if not 0.0 < self.scale <= 1.0:
             raise ValidationError(f"scale must lie in (0, 1], got {self.scale}")
-        if self.omega_rabi is not None and self.gamma_ground is not None:
-            implied = self.omega_rabi**2 / self.gamma_ground
-            if abs(implied - self.gamma_eit) > 1e-12 * abs(self.gamma_eit):
-                raise ValidationError(
-                    f"gamma_eit = {self.gamma_eit} inconsistent with "
-                    f"omega_rabi^2/gamma_ground = {implied}"
-                )
-
-
-def transfer_function(m: EitMedium, delta):
-    """Complex field response H(delta); delta in Hz, scalar or array."""
-    d = np.asarray(delta, dtype=np.float64)
-    return np.sqrt(m.scale) * np.exp(-d * m.z / (d - 1j * m.gamma_eit))
 
 
 def amplitude_response(m: EitMedium, delta):
@@ -147,7 +130,7 @@ class MeasuredTransmission:
             raise ValidationError(f"need at least 4 tabulated points, got {d.size}")
         if np.any(np.diff(d) <= 0):
             raise ValidationError("tabulated detunings must be strictly increasing")
-        if np.any((t < 0) | (t > 1)):
+        if not np.all((t >= 0) & (t <= 1)):
             raise ValidationError("tabulated transmissions must lie in [0, 1]")
         if not 0.0 <= self.extrapolation_value <= 1.0:
             raise ValidationError(

@@ -68,13 +68,6 @@ class Channel:
         return cls(amplitude_source=source, phase_source=None)
 
 
-def channel_transmission(ch: Channel, delta) -> np.ndarray:
-    """Intensity transmission of the channel's amplitude source at delta (Hz)."""
-    if isinstance(ch.amplitude_source, EitMedium):
-        return amplitude_response(ch.amplitude_source, delta) ** 2
-    return transmission_lookup(ch.amplitude_source, delta)
-
-
 def field_response(ch: Channel, delta) -> np.ndarray:
     """Complex field response A(delta) exp(-i Phi(delta)) at delta (Hz)."""
     if isinstance(ch.amplitude_source, EitMedium):

@@ -5,6 +5,9 @@ configuration, and which stages to run.  Physical quantities carry explicit
 unit suffixes in their key names (_us, _khz) to keep microseconds and
 kilohertz straight.  Bundled scenarios live in the package's scenarios/
 directory and can be referenced by bare name.
+
+run_scenario chains the stage functions propagate, compensate, decompose and
+metric_rows; the CLI subcommands call the same stages, one each.
 """
 
 from __future__ import annotations
@@ -14,14 +17,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import io as sio
 from .analysis import (
-    MEASURED,
-    MODEL,
     CompensationConfig,
-    PulseMetrics,
     compensate_intensity_spectrum,
     decompose_components,
     export_gain_spectrum,
@@ -37,20 +35,40 @@ from .medium import (
     transmission_lookup,
 )
 from .propagation import Channel, propagate_spectrum, warn_if_wrapped
-from .signal import AMG, GAUSSIAN, PulseSpec, SamplingGrid, default_grid, intensity_of, synth
-from .spectral import dft, idft, intensity_spectrum
+from .signal import (
+    AMG,
+    GAUSSIAN,
+    PulseSpec,
+    SamplingGrid,
+    Waveform,
+    default_grid,
+    intensity_of,
+    synth,
+)
+from .spectral import Spectrum, dft, idft, intensity_spectrum
 
 BUNDLED_SCENARIOS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4")
+
+# [compensation] source: divide out the medium's model or the measured table
+MODEL = "model"
+MEASURED = "measured"
+
+# the [medium] keys, also the CLI's medium options; see resolve_medium
+MEDIUM_KEYS = ("gamma_khz", "z", "scale", "peak", "background", "fwhm_khz")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """transmission: measured channel amplitude, if any; compensation_table:
+    the table compensation divides out instead of the model, if any."""
+
     name: str
     pulse: PulseSpec
     medium: EitMedium
     transmission: MeasuredTransmission | None
     grid: SamplingGrid
     compensation: CompensationConfig
+    compensation_table: MeasuredTransmission | None
     do_compensate: bool
     do_decompose: bool
     out_dir: Path
@@ -64,7 +82,7 @@ class _SectionReader:
         self._origin = origin
         self._section = section
 
-    def _fail(self, key: str, message: str):
+    def fail(self, key: str, message: str):
         raise ValidationError(f"{self._origin}: [{self._section}] {key}: {message}")
 
     def has(self, key: str) -> bool:
@@ -74,7 +92,7 @@ class _SectionReader:
         if not self.has(key):
             if fallback is not None:
                 return fallback
-            self._fail(key, "missing required key")
+            self.fail(key, "missing required key")
         return self._parser.get(self._section, key).strip()
 
     def number(self, key: str, fallback: float | None = None) -> float:
@@ -84,7 +102,7 @@ class _SectionReader:
         try:
             return float(value)
         except ValueError:
-            self._fail(key, f"not a number: {value!r}")
+            self.fail(key, f"not a number: {value!r}")
 
     def integer(self, key: str, fallback: int | None = None) -> int:
         if not self.has(key) and fallback is not None:
@@ -93,7 +111,7 @@ class _SectionReader:
         try:
             return int(value)
         except ValueError:
-            self._fail(key, f"not an integer: {value!r}")
+            self.fail(key, f"not an integer: {value!r}")
 
     def boolean(self, key: str, fallback: bool) -> bool:
         if not self.has(key):
@@ -103,7 +121,7 @@ class _SectionReader:
             return True
         if value in ("0", "no", "false", "off"):
             return False
-        self._fail(key, f"not a boolean: {value!r}")
+        self.fail(key, f"not a boolean: {value!r}")
 
 
 def _resolve_scenario_path(name_or_path: str) -> tuple[str, str]:
@@ -118,6 +136,36 @@ def _resolve_scenario_path(name_or_path: str) -> tuple[str, str]:
             f"{', '.join(BUNDLED_SCENARIOS)}"
         )
     return path.stem, path.read_text(encoding="ascii")
+
+
+def resolve_medium(values) -> EitMedium:
+    """The medium of gamma_khz, z and scale (default 1), or else the one
+    calibrated from peak, background and fwhm_khz.
+
+    values maps MEDIUM_KEYS to numbers; a key mapped to None is not given.
+    """
+    v = {key: value for key, value in values.items() if value is not None}
+    if "gamma_khz" in v:
+        if "z" not in v:
+            raise ValidationError("gamma_khz needs z")
+        return EitMedium(v["gamma_khz"] * 1e3, v["z"], v.get("scale", 1.0))
+    if not {"peak", "background", "fwhm_khz"} <= v.keys():
+        raise ValidationError("give gamma_khz and z, or peak, background and fwhm_khz")
+    return calibrate_from_transmission(v["peak"], v["background"], v["fwhm_khz"] * 1e3)
+
+
+def pulse_grid(spec: PulseSpec, n: int | None, window: float | None) -> SamplingGrid:
+    """default_grid(spec), or n samples over `window` seconds centred on the pulse.
+
+    A grid override gives both n and window, or neither.
+    """
+    if n is None and window is None:
+        return default_grid(spec)
+    if n is None or window is None:
+        raise ValidationError("a grid override needs both n and window")
+    if n == 0:  # SamplingGrid rejects it, but window / n would raise first
+        raise ValidationError("grid size must be a power of two >= 8, got 0")
+    return SamplingGrid(n=n, dt=window / n, t_start=spec.center - window / 2.0)
 
 
 def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scenario:
@@ -150,19 +198,9 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
         raise ValidationError(f"{origin}: [pulse] {exc}") from exc
 
     medium_sec = section("medium")
+    values = {key: medium_sec.number(key) for key in MEDIUM_KEYS if medium_sec.has(key)}
     try:
-        if medium_sec.has("gamma_khz"):
-            medium = EitMedium(
-                gamma_eit=medium_sec.number("gamma_khz") * 1e3,
-                z=medium_sec.number("z"),
-                scale=medium_sec.number("scale", 1.0),
-            )
-        else:
-            medium = calibrate_from_transmission(
-                peak=medium_sec.number("peak"),
-                background=medium_sec.number("background"),
-                fwhm=medium_sec.number("fwhm_khz") * 1e3,
-            )
+        medium = resolve_medium(values)
     except ValidationError as exc:
         raise ValidationError(f"{origin}: [medium] {exc}") from exc
 
@@ -170,41 +208,35 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
     if medium_sec.has("transmission_file"):
         transmission = sio.read_transmission_csv(medium_sec.raw("transmission_file"))
 
-    if parser.has_section("grid"):
-        grid_sec = section("grid")
-        window = grid_sec.number("window_us") * 1e-6
-        n = grid_sec.integer("n")
-        try:
-            grid = SamplingGrid(n=n, dt=window / n, t_start=pulse.center - window / 2.0)
-        except ValidationError as exc:
-            raise ValidationError(f"{origin}: [grid] {exc}") from exc
-    else:
-        grid = default_grid(pulse)
+    # optional sections: a reader of a missing section finds no keys
+    grid_sec = _SectionReader(parser, origin, "grid")
+    n = grid_sec.integer("n") if grid_sec.has("n") else None
+    window = grid_sec.number("window_us") * 1e-6 if grid_sec.has("window_us") else None
+    try:
+        grid = pulse_grid(pulse, n, window)
+    except ValidationError as exc:
+        raise ValidationError(f"{origin}: [grid] {exc}") from exc
 
-    comp_sec = section("compensation") if parser.has_section("compensation") else None
-    if comp_sec is not None:
-        source = comp_sec.raw("source", MODEL).lower()
-        try:
-            compensation = CompensationConfig(floor=comp_sec.number("floor", 1e-3), source=source)
-        except ValidationError as exc:
-            raise ValidationError(f"{origin}: [compensation] {exc}") from exc
-    else:
-        compensation = CompensationConfig()
-    if compensation.source == MEASURED and transmission is None:
-        raise ValidationError(
-            f"{origin}: [compensation] source: 'measured' needs a "
-            f"[medium] transmission_file"
-        )
+    comp_sec = _SectionReader(parser, origin, "compensation")
+    source = comp_sec.raw("source", MODEL).lower()
+    if source not in (MODEL, MEASURED):
+        comp_sec.fail("source", f"must be {MODEL!r} or {MEASURED!r}, got {source!r}")
+    if source == MEASURED and transmission is None:
+        comp_sec.fail("source", "'measured' needs a [medium] transmission_file")
+    floor = comp_sec.number("floor", 1e-3)
+    try:
+        compensation = CompensationConfig(floor=floor)
+    except ValidationError as exc:
+        raise ValidationError(f"{origin}: [compensation] {exc}") from exc
 
-    run_sec = section("run") if parser.has_section("run") else None
-    do_compensate = run_sec.boolean("compensate", True) if run_sec else True
-    do_decompose = run_sec.boolean("decompose", pulse.kind == AMG) if run_sec else pulse.kind == AMG
+    run_sec = _SectionReader(parser, origin, "run")
+    do_compensate = run_sec.boolean("compensate", True)
+    do_decompose = run_sec.boolean("decompose", pulse.kind == AMG)
     if do_decompose and pulse.kind != AMG:
         raise ValidationError(f"{origin}: [run] decompose: only AMG pulses decompose")
 
     if out_dir is None:
-        out_sec = section("output")
-        out_dir = out_sec.raw("dir")
+        out_dir = section("output").raw("dir")
     return Scenario(
         name=name,
         pulse=pulse,
@@ -212,18 +244,67 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
         transmission=transmission,
         grid=grid,
         compensation=compensation,
+        compensation_table=transmission if source == MEASURED else None,
         do_compensate=do_compensate,
         do_decompose=do_decompose,
         out_dir=Path(out_dir),
     )
 
 
-def _metrics_rows(prefix: str, metrics: PulseMetrics) -> list[tuple[str, float]]:
+def propagate(pulse: Waveform, medium: EitMedium, table: MeasuredTransmission | None):
+    """Input spectrum, output spectrum and output waveform of `pulse`.
+
+    The channel is the analytic one of `medium`, or the hybrid one (the
+    table's amplitude, the medium's phase) when a table is given.  Warns
+    with EdgeEnergyWarning when the output wraps around the window.
+    """
+    channel = Channel.analytic(medium) if table is None else Channel.hybrid(table, medium)
+    s_in = dft(pulse)
+    s_out = propagate_spectrum(s_in, channel)
+    output = idft(s_out)
+    warn_if_wrapped(output)
+    return s_in, s_out, output
+
+
+def compensate(s_out: Spectrum, medium: EitMedium | None,
+               table: MeasuredTransmission | None, cfg: CompensationConfig):
+    """Compensated intensity spectrum, recovered waveform and gain spectrum.
+
+    The transmission divided out of s_out is the table's when one is given,
+    otherwise the model transmission of `medium`.
+    """
+    deltas = s_out.detunings()
+    if table is not None:
+        transmission = transmission_lookup(table, deltas)
+    else:
+        transmission = intensity_transmission(medium, deltas)
+    return (
+        compensate_intensity_spectrum(intensity_spectrum(s_out), transmission, cfg),
+        recover_waveform(s_out, transmission, cfg),
+        export_gain_spectrum(transmission, cfg),
+    )
+
+
+def decompose(s_out: Spectrum, s_in: Spectrum, mod_freq: float, out_dir: Path):
+    """Write each component of s_out as out_dir/component_<label>.csv and
+    return the carrier and sideband delays as (name, value) rows."""
+    parts = decompose_components(s_out, s_in, mod_freq)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for label in ("carrier", "left", "right", "reference"):
+        w = getattr(parts, label)
+        sio.write_intensity_csv(out_dir / f"component_{label}.csv", intensity_of(w))
+    return [(f"{label}_delay_s", getattr(parts, f"{label}_delay"))
+            for label in ("carrier", "left", "right")]
+
+
+def metric_rows(prefix: str, out: Waveform, reference: Waveform):
+    """measure_metrics(out, reference) as (name, value) rows, names prefixed."""
+    m = measure_metrics(out, reference)
     return [
-        (f"{prefix}_delay_s", metrics.delay),
-        (f"{prefix}_loss", metrics.loss),
-        (f"{prefix}_nrmse", metrics.nrmse),
-        (f"{prefix}_fwhm_s", metrics.fwhm_time),
+        (f"{prefix}delay_s", m.delay),
+        (f"{prefix}loss", m.loss),
+        (f"{prefix}nrmse", m.nrmse),
+        (f"{prefix}fwhm_s", m.fwhm_time),
     ]
 
 
@@ -237,22 +318,13 @@ def run_scenario(sc: Scenario) -> dict[str, float]:
     out.mkdir(parents=True, exist_ok=True)
 
     pulse = synth(sc.pulse, sc.grid)
-    s_in = dft(pulse)
-    if sc.transmission is not None:
-        channel = Channel.hybrid(sc.transmission, sc.medium)
-    else:
-        channel = Channel.analytic(sc.medium)
-    s_out = propagate_spectrum(s_in, channel)
-    output = idft(s_out)
-    warn_if_wrapped(output)
-
-    deltas = sc.grid.detunings()
+    s_in, s_out, output = propagate(pulse, sc.medium, sc.transmission)
     rows: list[tuple[str, float]] = [
         ("gamma_eit_hz", sc.medium.gamma_eit),
         ("z", sc.medium.z),
         ("scale", sc.medium.scale),
     ]
-    rows += _metrics_rows("output", measure_metrics(output, pulse))
+    rows += metric_rows("output_", output, pulse)
 
     sio.write_waveform_csv(out / "input_pulse.csv", pulse)
     sio.write_spectrum_csv(out / "input_spectrum.csv", s_in)
@@ -260,34 +332,17 @@ def run_scenario(sc: Scenario) -> dict[str, float]:
     sio.write_spectrum_csv(out / "output_spectrum.csv", s_out)
 
     if sc.do_compensate:
-        if sc.compensation.source == MEASURED:
-            transmission = np.asarray(transmission_lookup(sc.transmission, deltas))
-        else:
-            transmission = np.asarray(intensity_transmission(sc.medium, deltas))
-        compensated = compensate_intensity_spectrum(
-            intensity_spectrum(s_out), transmission, sc.compensation
+        compensated, recovered, gain = compensate(
+            s_out, sc.medium, sc.compensation_table, sc.compensation
         )
-        recovered = recover_waveform(s_out, transmission, sc.compensation)
-        gain = export_gain_spectrum(transmission, sc.compensation)
-        rows += _metrics_rows("recovered", measure_metrics(recovered, pulse))
+        rows += metric_rows("recovered_", recovered, pulse)
+        deltas = s_out.detunings()
         sio.write_intensity_spectrum_csv(out / "compensated_spectrum.csv", deltas, compensated)
         sio.write_intensity_csv(out / "recovered_intensity.csv", intensity_of(recovered))
         sio.write_gain_csv(out / "gain_spectrum.csv", deltas, gain)
 
     if sc.do_decompose:
-        parts = decompose_components(s_out, s_in, sc.pulse.mod_freq)
-        rows += [
-            ("carrier_delay_s", parts.carrier_delay),
-            ("left_delay_s", parts.left_delay),
-            ("right_delay_s", parts.right_delay),
-        ]
-        for label, w in (
-            ("carrier", parts.carrier),
-            ("left", parts.left),
-            ("right", parts.right),
-            ("reference", parts.reference),
-        ):
-            sio.write_intensity_csv(out / f"component_{label}.csv", intensity_of(w))
+        rows += decompose(s_out, s_in, sc.pulse.mod_freq, out)
 
     sio.write_metrics_csv(out / "metrics.csv", rows)
     return dict(rows)

@@ -104,9 +104,6 @@ class Waveform:
         """Sum of |e|^2 * dt over the window."""
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dt)
 
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class IntensityTrace:
@@ -158,18 +155,6 @@ class PulseSpec:
                     f"modulation frequency must be positive, got {self.mod_freq}"
                 )
 
-    @classmethod
-    def from_intensity_fwhm(
-        cls,
-        kind: str,
-        intensity_fwhm: float,
-        mod_depth: float = 0.0,
-        mod_freq: float = 0.0,
-        center: float = 0.0,
-    ) -> "PulseSpec":
-        """Alternate constructor taking the intensity FWHM (= 2*t0) directly."""
-        return cls(kind, intensity_fwhm / 2.0, mod_depth, mod_freq, center)
-
 
 def default_grid(spec: PulseSpec) -> SamplingGrid:
     """Build a sampling grid sized for the pulse's time and spectral support.
@@ -194,42 +179,25 @@ def default_grid(spec: PulseSpec) -> SamplingGrid:
     return SamplingGrid(n=n, dt=window / n, t_start=spec.center - window / 2.0)
 
 
-def _check_window(spec: PulseSpec, grid: SamplingGrid) -> None:
+def synth(spec: PulseSpec, grid: SamplingGrid | None = None) -> Waveform:
+    """Sample the pulse field, on a default grid unless given one.
+
+    The unit-peak Gaussian field exp[-ln2 (t-center)^2 / (2 t0^2)]; an AMG
+    field is that envelope times 1 + A cos(2 pi f (t-center)), so with
+    mod_depth = 0 it reproduces the Gaussian sample for sample.
+    """
+    if grid is None:
+        grid = default_grid(spec)
     if grid.window < 8.0 * spec.t0:
         raise ValidationError(
             f"grid window {grid.window:.3e} s is shorter than 8*t0 = "
             f"{8.0 * spec.t0:.3e} s; the pulse would be truncated"
         )
-
-
-def synth_gaussian(spec: PulseSpec, grid: SamplingGrid) -> Waveform:
-    """Sample the unit-peak Gaussian field exp[-ln2 (t-center)^2 / (2 t0^2)]."""
-    if spec.kind != GAUSSIAN:
-        raise ValidationError(f"synth_gaussian needs a gaussian spec, got {spec.kind!r}")
-    _check_window(spec, grid)
     tau = grid.times() - spec.center
-    return Waveform(grid, np.exp(-LN2 * tau**2 / (2.0 * spec.t0**2)))
-
-
-def synth_amg(spec: PulseSpec, grid: SamplingGrid) -> Waveform:
-    """Sample the AMG field: Gaussian envelope times 1 + A cos(2 pi f (t-center)).
-
-    With mod_depth = 0 this reproduces synth_gaussian sample for sample.
-    """
-    if spec.kind != AMG:
-        raise ValidationError(f"synth_amg needs an amg spec, got {spec.kind!r}")
-    _check_window(spec, grid)
-    tau = grid.times() - spec.center
-    envelope = np.exp(-LN2 * tau**2 / (2.0 * spec.t0**2))
-    modulation = 1.0 + spec.mod_depth * np.cos(2.0 * math.pi * spec.mod_freq * tau)
-    return Waveform(grid, envelope * modulation)
-
-
-def synth(spec: PulseSpec, grid: SamplingGrid | None = None) -> Waveform:
-    """Synthesize a pulse of either kind, on a default grid unless given one."""
-    if grid is None:
-        grid = default_grid(spec)
-    return synth_amg(spec, grid) if spec.kind == AMG else synth_gaussian(spec, grid)
+    samples = np.exp(-LN2 * tau**2 / (2.0 * spec.t0**2))
+    if spec.kind == AMG:
+        samples = samples * (1.0 + spec.mod_depth * np.cos(2.0 * math.pi * spec.mod_freq * tau))
+    return Waveform(grid, samples)
 
 
 def intensity_of(w: Waveform) -> IntensityTrace:

@@ -37,8 +37,6 @@ from slowlight import (
     recover_waveform,
     run_scenario,
     synth,
-    synth_amg,
-    synth_gaussian,
 )
 from slowlight.scenario import BUNDLED_SCENARIOS
 
@@ -81,7 +79,7 @@ def test_criterion_1_calibration():
 
 
 def test_criterion_2_resonant_delay(calibrated, gauss_spec, gauss_grid):
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     out = propagate_waveform(w, Channel.analytic(calibrated))
     t = gauss_grid.times()
     delay = peak_location(t, np.abs(out.samples) ** 2) - peak_location(
@@ -100,7 +98,7 @@ def test_criterion_2_resonant_delay(calibrated, gauss_spec, gauss_grid):
 
 def test_criterion_3_sideband_fast_light(calibrated, amg_spec, amg_grid):
     gd = float(group_delay(calibrated, MOD_FREQ))
-    s_in = dft(synth_amg(amg_spec, amg_grid))
+    s_in = dft(synth(amg_spec, amg_grid))
     s_out = propagate_spectrum(s_in, Channel.analytic(calibrated))
     parts = decompose_components(s_out, s_in, MOD_FREQ)
     ok = (
@@ -132,7 +130,7 @@ def test_criterion_4_compensation_identity():
         )
         spec = PulseSpec(AMG, t0, mod_depth=depth, mod_freq=mod_freq)
         grid = default_grid(spec)
-        s_in = dft(synth_amg(spec, grid))
+        s_in = dft(synth(spec, grid))
         s_out = propagate_spectrum(s_in, Channel.analytic(medium))
         transmission = np.asarray(intensity_transmission(medium, grid.detunings()))
         cfg = CompensationConfig(floor=float(transmission.min()) / 2.0)
@@ -154,7 +152,7 @@ def test_criterion_4_compensation_identity():
 
 
 def test_criterion_5_delay_reduction(calibrated, amg_spec, amg_grid):
-    w = synth_amg(amg_spec, amg_grid)
+    w = synth(amg_spec, amg_grid)
     s_out = propagate_spectrum(dft(w), Channel.analytic(calibrated))
     transmission = np.asarray(intensity_transmission(calibrated, amg_grid.detunings()))
     cfg = CompensationConfig(floor=1e-3)
@@ -171,7 +169,7 @@ def test_criterion_5_delay_reduction(calibrated, amg_spec, amg_grid):
 def test_criterion_6_closed_form_spectrum(amg_spec, amg_grid):
     spectral_fwhm = LN2 / (math.pi * T0)
     assert MOD_FREQ / spectral_fwhm > 10
-    s = dft(synth_amg(amg_spec, amg_grid))
+    s = dft(synth(amg_spec, amg_grid))
     numeric = intensity_spectrum(s)
     numeric = numeric / numeric[amg_grid.n // 2]
     closed = amg_spectrum_closed_form(T0, MOD_DEPTH, MOD_FREQ, s.detunings())
@@ -218,7 +216,7 @@ def test_criterion_8_numerics_suite(rng):
 
     spec = PulseSpec(GAUSSIAN, T0)
     g = default_grid(spec)
-    pulse = synth_gaussian(spec, g)
+    pulse = synth(spec, g)
     s = dft(pulse)
     tau = 0.5e-6
     shifted = idft(

@@ -29,7 +29,6 @@ from slowlight import (
     propagate_spectrum,
     recover_waveform,
     synth,
-    synth_gaussian,
 )
 
 from conftest import MOD_FREQ, T0
@@ -191,7 +190,7 @@ def test_decompose_rejects_mismatched_grids(calibrated, amg_spec):
 
 
 def test_metrics_identity(gauss_spec, gauss_grid):
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     m = measure_metrics(w, w)
     assert m.delay == 0.0
     assert m.loss == pytest.approx(0.0, abs=1e-15)
@@ -201,7 +200,7 @@ def test_metrics_identity(gauss_spec, gauss_grid):
 
 def test_metrics_pure_delay_and_attenuation(gauss_spec, gauss_grid):
     tau = 0.5e-6
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     s = dft(w)
     delayed = idft(
         Spectrum(gauss_grid, 0.5 * s.samples * np.exp(-2j * math.pi * s.detunings() * tau))
@@ -221,7 +220,7 @@ def test_metrics_distortion_ordering(calibrated, gauss_spec, amg_spec):
 
 
 def test_metrics_grid_mismatch(gauss_spec, gauss_grid):
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     other = SamplingGrid(n=gauss_grid.n, dt=gauss_grid.dt, t_start=0.0)
     with pytest.raises(ValidationError):
         measure_metrics(w, Waveform(other, w.samples))
@@ -269,5 +268,15 @@ def test_compensation_config_validation():
         CompensationConfig(floor=0.0)
     with pytest.raises(ValidationError):
         CompensationConfig(floor=1.0)
-    with pytest.raises(ValidationError):
-        CompensationConfig(floor=0.5, source="oracle")
+
+
+def test_compensation_rejects_nan_transmission():
+    # a NaN fails both (t < 0) and (t > 1), so the range check must test the complement
+    cfg = CompensationConfig()
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        compensate_intensity_spectrum(np.ones(2), np.array([np.nan, 0.5]), cfg)
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        export_gain_spectrum(np.array([np.nan, 0.5]), cfg)
+    grid = SamplingGrid(n=8, dt=1e-6)
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        recover_waveform(Spectrum(grid, np.ones(8)), np.full(8, np.nan), cfg)

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from slowlight import SamplingGrid, Waveform, synth
+from slowlight import MeasuredTransmission, SamplingGrid, Waveform, synth
 from slowlight.cli import main
-from slowlight.io import read_timeseries_csv, write_waveform_csv
+from slowlight.io import (
+    read_detuning_series_csv,
+    read_timeseries_csv,
+    write_transmission_csv,
+    write_waveform_csv,
+)
 
 
 def _parse_kv(output: str) -> dict:
@@ -144,6 +149,13 @@ def test_run_scenario_with_grid_override(tmp_path, capsys):
     assert pulse.grid.window == pytest.approx(240e-6, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", [["--n", "0", "--window-us", "240"], ["--n", "512"]])
+def test_synth_grid_override_is_validated(tmp_path, capsys, grid):
+    assert main(["synth", "--kind", "gaussian", "--t0-us", "6.5", *grid,
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert "error[validation]" in capsys.readouterr().err
+
+
 def test_run_malformed_config_names_field(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text(
@@ -186,3 +198,34 @@ def test_medium_flags_are_validated(capsys, tmp_path, gauss_spec):
                  "--out", str(tmp_path / "o.csv")]) == 2  # missing --z
     assert main(["propagate", "--input", str(path),
                  "--out", str(tmp_path / "o.csv")]) == 2  # no medium at all
+
+
+def _source_scenario(tmp_path, name, medium_extra, source):
+    config = tmp_path / f"{name}.ini"
+    config.write_text(
+        "[pulse]\nkind = gaussian\nt0_us = 6.5\n"
+        "[medium]\npeak = 0.615\nbackground = 0.10\nfwhm_khz = 350\n" + medium_extra +
+        f"[compensation]\nsource = {source}\n"
+        f"[output]\ndir = {tmp_path / name}\n"
+    )
+    return str(config)
+
+
+def test_run_measured_source_divides_out_the_table(tmp_path, capsys):
+    table = tmp_path / "flat.csv"
+    write_transmission_csv(table, MeasuredTransmission(np.linspace(-3e6, 3e6, 5), np.full(5, 0.5)))
+    medium_extra = f"transmission_file = {table}\n"
+    for source in ("model", "measured"):
+        assert main(["run", _source_scenario(tmp_path, source, medium_extra, source)]) == 0
+    _, model_gain = read_detuning_series_csv(tmp_path / "model" / "gain_spectrum.csv")
+    _, measured_gain = read_detuning_series_csv(tmp_path / "measured" / "gain_spectrum.csv")
+    np.testing.assert_array_equal(measured_gain, 2.0)  # 1 / 0.5 at every bin
+    assert not np.array_equal(model_gain, measured_gain)
+
+
+@pytest.mark.parametrize("source", ["measured", "oracle"])
+def test_run_rejects_compensation_source_without_table(tmp_path, capsys, source):
+    assert main(["run", _source_scenario(tmp_path, "bad", "", source)]) == 2
+    err = capsys.readouterr().err
+    assert "error[validation]" in err
+    assert "[compensation] source" in err

@@ -7,6 +7,7 @@ from slowlight import (
     IntensityTrace,
     MeasuredTransmission,
     SamplingGrid,
+    Spectrum,
     ValidationError,
     Waveform,
     dft,
@@ -169,3 +170,22 @@ def test_complex_waveform_refuses_two_column_format(tmp_path):
     w = Waveform(grid, (1.0 + 0.5j) * np.ones(8))
     with pytest.raises(ValidationError):
         write_waveform_csv(tmp_path / "c.csv", w)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_writer_rejects_non_finite_before_opening(tmp_path, bad):
+    # written as "inf", the cell would make the file unreadable by every reader
+    path = tmp_path / "gain.csv"
+    gain = np.array([1.0, 2.0, bad, 4.0])
+    with pytest.raises(ValidationError) as info:
+        write_gain_csv(path, np.array([-100.0, 0.0, 100.0, 200.0]), gain)
+    assert f"{path}: non-finite value {bad} in data row 3, column 2" in str(info.value)
+    assert not path.exists()
+
+
+def test_writer_names_first_non_finite_cell_in_row_order(tmp_path):
+    samples = np.ones(8, dtype=complex)
+    samples[1] = complex(1.0, np.nan)  # row 2, column 3 (im)
+    samples[3] = complex(np.inf, 0.0)  # row 4, column 2 (re)
+    with pytest.raises(ValidationError, match="nan in data row 2, column 3"):
+        write_spectrum_csv(tmp_path / "s.csv", Spectrum(SamplingGrid(n=8, dt=1e-6), samples))

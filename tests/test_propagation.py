@@ -27,7 +27,6 @@ from slowlight import (
     propagate_spectrum,
     propagate_waveform,
     synth,
-    synth_gaussian,
     transmission_lookup,
 )
 
@@ -36,21 +35,21 @@ from conftest import MOD_FREQ
 
 def test_identity_channel_is_binwise_identity(gauss_spec, gauss_grid):
     channel = Channel.analytic(EitMedium(gamma_eit=1e5, z=0.0, scale=1.0))
-    s = dft(synth_gaussian(gauss_spec, gauss_grid))
+    s = dft(synth(gauss_spec, gauss_grid))
     out = propagate_spectrum(s, channel)
     np.testing.assert_allclose(out.samples, s.samples, rtol=1e-15, atol=0)
 
 
 def test_identity_channel_waveform(gauss_spec, gauss_grid):
     channel = Channel.analytic(EitMedium(gamma_eit=1e5, z=0.0, scale=1.0))
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     out = propagate_waveform(w, channel)
     np.testing.assert_allclose(out.samples, w.samples, rtol=0, atol=1e-12)
 
 
 def test_amplitude_only_channel_keeps_symmetry(gauss_spec, gauss_grid, calibrated):
     channel = Channel.amplitude_only(calibrated)
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     s_out = propagate_spectrum(dft(w), channel)
     # intensity spectrum scaled exactly by the transmission
     expected = intensity_spectrum(dft(w)) * np.asarray(
@@ -77,7 +76,7 @@ def test_amplitude_only_channel_keeps_symmetry(gauss_spec, gauss_grid, calibrate
 def test_pure_delay_response_shifts_peak(gauss_spec, gauss_grid):
     # A == 1, Phi = 2 pi delta tau: the canonical pure-delay filter
     tau = 0.5e-6
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     s = dft(w)
     response = np.exp(-2j * math.pi * s.detunings() * tau)
     out = idft(Spectrum(gauss_grid, s.samples * response))
@@ -90,7 +89,7 @@ def test_pure_delay_response_shifts_peak(gauss_spec, gauss_grid):
 
 def test_narrowband_gaussian_delay_matches_group_delay(gauss_spec, gauss_grid, calibrated):
     medium = EitMedium(gamma_eit=calibrated.gamma_eit, z=calibrated.z, scale=1.0)
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     out = propagate_waveform(w, Channel.analytic(medium))
     t = gauss_grid.times()
     delay = peak_location(t, np.abs(out.samples) ** 2) - peak_location(
@@ -129,7 +128,7 @@ def test_energy_never_increases(rng, calibrated):
 def test_pipeline_linearity(gauss_spec, gauss_grid, calibrated):
     # the broadband noise term legitimately reaches the window edges
     channel = Channel.analytic(calibrated)
-    w1 = synth_gaussian(gauss_spec, gauss_grid)
+    w1 = synth(gauss_spec, gauss_grid)
     rng = np.random.default_rng(3)
     w2 = Waveform(gauss_grid, rng.standard_normal(gauss_grid.n))
     a, b = 0.3 + 1.1j, -2.5

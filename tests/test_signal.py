@@ -23,8 +23,6 @@ from slowlight import (
     intensity_spectrum,
     peak_location,
     synth,
-    synth_amg,
-    synth_gaussian,
 )
 
 LN2 = math.log(2.0)
@@ -67,7 +65,7 @@ def test_gaussian_peak_and_half_points():
     # grid chosen so that center and center +- t0 are exact samples
     spec = PulseSpec(GAUSSIAN, T0, center=0.0)
     grid = SamplingGrid(n=256, dt=T0 / 8.0, t_start=-16.0 * T0)
-    w = synth_gaussian(spec, grid)
+    w = synth(spec, grid)
     intensity = intensity_of(w).samples
     assert intensity[128] == 1.0
     assert intensity[128 + 8] == pytest.approx(0.5, rel=1e-12)
@@ -79,7 +77,7 @@ def test_gaussian_peak_and_half_points():
 def test_gaussian_matches_printed_intensity_formula():
     spec = PulseSpec(GAUSSIAN, T0, center=1.7e-6)
     grid = default_grid(spec)
-    w = synth_gaussian(spec, grid)
+    w = synth(spec, grid)
     tau = grid.times() - spec.center
     np.testing.assert_allclose(
         intensity_of(w).samples, np.exp(-LN2 * tau**2 / T0**2), rtol=1e-12, atol=0
@@ -88,7 +86,7 @@ def test_gaussian_matches_printed_intensity_formula():
 
 def test_gaussian_spectral_fwhm_numeric(gauss_spec, gauss_grid):
     # oracle: numeric DFT of the sampled pulse, measured with the fwhm utility
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     s = dft(w)
     measured = fwhm(s.detunings(), intensity_spectrum(s))
     expected = gaussian_spectral_fwhm(T0)
@@ -98,7 +96,7 @@ def test_gaussian_spectral_fwhm_numeric(gauss_spec, gauss_grid):
 
 def test_amg_center_value_and_grid_formula(amg_spec):
     grid = default_grid(amg_spec)
-    w = synth_amg(amg_spec, grid)
+    w = synth(amg_spec, grid)
     intensity = intensity_of(w).samples
     # cos = 1 at the center sample: I = (1 + A)^2
     assert intensity[grid.n // 2] == pytest.approx(4.0, rel=1e-12)
@@ -114,7 +112,7 @@ def test_amg_intensity_zeros_at_half_modulation_periods(amg_spec):
     # zeros of 1 + cos at center +- (2k+1)/(2 mod_freq); put them on the grid
     dt = 1.0 / (32.0 * MOD_FREQ)
     grid = SamplingGrid(n=2048, dt=dt, t_start=-1024 * dt)
-    w = synth_amg(amg_spec, grid)
+    w = synth(amg_spec, grid)
     intensity = intensity_of(w).samples
     for k in (1, 3, 5):
         idx = 1024 + k * 16  # k/(2 mod_freq) in samples
@@ -127,7 +125,7 @@ def test_amg_zero_depth_reduces_to_gaussian():
     spec_gauss = PulseSpec(GAUSSIAN, T0)
     grid = default_grid(spec_amg)
     np.testing.assert_array_equal(
-        synth_amg(spec_amg, grid).samples, synth_gaussian(spec_gauss, grid).samples
+        synth(spec_amg, grid).samples, synth(spec_gauss, grid).samples
     )
 
 
@@ -146,16 +144,9 @@ def test_amg_needs_positive_mod_freq():
 def test_synth_rejects_short_window(gauss_spec, amg_spec):
     grid = SamplingGrid(n=64, dt=T0 / 10, t_start=-3.2 * T0)  # window 6.4 t0
     with pytest.raises(ValidationError):
-        synth_gaussian(gauss_spec, grid)
+        synth(gauss_spec, grid)
     with pytest.raises(ValidationError):
-        synth_amg(amg_spec, grid)
-
-
-def test_kind_mismatch_rejected(gauss_spec, amg_spec, gauss_grid, amg_grid):
-    with pytest.raises(ValidationError):
-        synth_gaussian(amg_spec, amg_grid)
-    with pytest.raises(ValidationError):
-        synth_amg(gauss_spec, gauss_grid)
+        synth(amg_spec, grid)
 
 
 @pytest.mark.parametrize("depth,mod_freq", [(1.0, 120e3), (0.8, 90e3), (1.0, MOD_FREQ)])
@@ -171,8 +162,8 @@ def test_amg_energy_ratio(depth, mod_freq):
 
     spec = PulseSpec(AMG, T0, mod_depth=depth, mod_freq=mod_freq)
     grid = default_grid(spec)
-    gauss_energy = synth_gaussian(PulseSpec(GAUSSIAN, T0), grid).energy()
-    amg_energy = synth_amg(spec, grid).energy()
+    gauss_energy = synth(PulseSpec(GAUSSIAN, T0), grid).energy()
+    amg_energy = synth(spec, grid).energy()
     assert amg_energy / gauss_energy == pytest.approx(expected_ratio, rel=1e-9)
 
     # independent quadrature oracle for the closed form itself
@@ -203,7 +194,7 @@ def test_doubling_resolution_keeps_physical_metrics(amg_spec, calibrated):
 
     base = default_grid(amg_spec)
     fine = SamplingGrid(n=2 * base.n, dt=base.dt / 2.0, t_start=base.t_start)
-    w1, w2 = synth_amg(amg_spec, base), synth_amg(amg_spec, fine)
+    w1, w2 = synth(amg_spec, base), synth(amg_spec, fine)
     assert w1.energy() == pytest.approx(w2.energy(), rel=1e-9)
     i1, i2 = intensity_of(w1).samples, intensity_of(w2).samples
     f1 = fwhm(base.times(), i1)
@@ -244,11 +235,6 @@ def test_amplitude_from_intensity_keeps_zeros():
     np.testing.assert_array_equal(
         w.samples.real, [0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 1.0, 0.0]
     )
-
-
-def test_from_intensity_fwhm_constructor():
-    spec = PulseSpec.from_intensity_fwhm(GAUSSIAN, 13e-6)
-    assert spec.t0 == pytest.approx(6.5e-6, rel=1e-15)
 
 
 def test_waveform_length_mismatch():

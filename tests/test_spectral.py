@@ -22,8 +22,7 @@ from slowlight import (
     intensity_spectrum,
     intensity_transmission,
     peak_location,
-    synth_amg,
-    synth_gaussian,
+    synth,
 )
 
 from conftest import MOD_DEPTH, MOD_FREQ, T0
@@ -112,7 +111,7 @@ def test_shift_theorem_integer_bins(rng):
 
 def test_shift_theorem_subbin_peak(gauss_spec, gauss_grid):
     tau = 0.5e-6  # not an integer number of samples
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     s = dft(w)
     shifted = idft(
         Spectrum(gauss_grid, s.samples * np.exp(-2j * math.pi * s.detunings() * tau))
@@ -125,7 +124,7 @@ def test_shift_theorem_subbin_peak(gauss_spec, gauss_grid):
 
 
 def test_gaussian_spectrum_matches_analytic_pair(gauss_spec, gauss_grid):
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     s = dft(w)
     numeric = intensity_spectrum(s)
     numeric = numeric / numeric[gauss_grid.n // 2]
@@ -135,7 +134,7 @@ def test_gaussian_spectrum_matches_analytic_pair(gauss_spec, gauss_grid):
 
 
 def test_amg_closed_form_matches_numeric_dft(amg_spec, amg_grid):
-    w = synth_amg(amg_spec, amg_grid)
+    w = synth(amg_spec, amg_grid)
     s = dft(w)
     numeric = intensity_spectrum(s)
     numeric = numeric / numeric[amg_grid.n // 2]
@@ -153,7 +152,7 @@ def test_amg_sideband_carrier_ratio(depth):
     window = 168.0 / MOD_FREQ
     grid = SamplingGrid(n=4096, dt=window / 4096, t_start=-window / 2)
     spec = PulseSpec(AMG, T0, mod_depth=depth, mod_freq=MOD_FREQ)
-    s = dft(synth_amg(spec, grid))
+    s = dft(synth(spec, grid))
     intensity = intensity_spectrum(s)
     carrier = intensity[grid.n // 2]
     k_side = grid.n // 2 + 168
@@ -183,7 +182,7 @@ def test_band_extract_bad_bounds(rng):
 
 
 def test_band_partition_is_exact(amg_spec, amg_grid):
-    s = dft(synth_amg(amg_spec, amg_grid))
+    s = dft(synth(amg_spec, amg_grid))
     half = MOD_FREQ / 2.0
     nyq = amg_grid.nyquist
     pieces = [
@@ -198,9 +197,9 @@ def test_band_partition_is_exact(amg_spec, amg_grid):
 
 
 def test_carrier_band_of_amg_is_gaussian(amg_spec, amg_grid):
-    s = dft(synth_amg(amg_spec, amg_grid))
+    s = dft(synth(amg_spec, amg_grid))
     carrier = idft(band_extract(s, -MOD_FREQ / 2, MOD_FREQ / 2))
-    gauss = synth_gaussian(PulseSpec(GAUSSIAN, T0), amg_grid)
+    gauss = synth(PulseSpec(GAUSSIAN, T0), amg_grid)
     a = np.abs(carrier.samples) ** 2
     b = np.abs(gauss.samples) ** 2
     a, b = a / a.max(), b / b.max()
@@ -216,7 +215,7 @@ def test_fwhm_triangle_exact():
 
 
 def test_fwhm_sampled_gaussian_intensity(gauss_spec, gauss_grid):
-    w = synth_gaussian(gauss_spec, gauss_grid)
+    w = synth(gauss_spec, gauss_grid)
     measured = fwhm(gauss_grid.times(), np.abs(w.samples) ** 2)
     assert abs(measured - 2.0 * T0) < gauss_grid.dt
 
@@ -253,7 +252,7 @@ def test_peak_location_offset_gaussian(gauss_grid):
 
 
 def test_peak_location_amg_highest_lobe(amg_spec, amg_grid):
-    w = synth_amg(amg_spec, amg_grid)
+    w = synth(amg_spec, amg_grid)
     loc = peak_location(amg_grid.times(), np.abs(w.samples) ** 2)
     assert abs(loc) < amg_grid.dt / 10.0  # center lobe has intensity 4x envelope
 
