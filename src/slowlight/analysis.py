@@ -102,14 +102,11 @@ _MIN_SIDEBAND_ENERGY = 1e-6
 
 
 def decompose_components(
-    s_out: Spectrum,
-    s_in: Spectrum,
-    mod_freq: float,
-    band_halfwidth: float | None = None,
+    s_out: Spectrum, s_in: Spectrum, mod_freq: float
 ) -> ComponentDecomposition:
     """Split an output AMG spectrum into carrier and sideband pulses.
 
-    Bands default to the symmetric split at +-mod_freq/2 and +-3*mod_freq/2:
+    Bands are the symmetric split at +-mod_freq/2 and +-3*mod_freq/2:
     carrier [-f/2, f/2), right [f/2, 3f/2), left [-3f/2, -f/2).  Components
     come from the output spectrum; the common reference pulse is the carrier
     band of the input spectrum.  Delays are measured peak to peak against
@@ -119,11 +116,7 @@ def decompose_components(
         raise ValidationError("output and input spectra must share one grid")
     if not mod_freq > 0:
         raise ValidationError(f"mod_freq must be positive, got {mod_freq}")
-    h = mod_freq / 2.0 if band_halfwidth is None else float(band_halfwidth)
-    if not 0.0 < h <= mod_freq / 2.0 + 1e-12 * mod_freq:
-        raise ValidationError(
-            f"band_halfwidth must lie in (0, mod_freq/2], got {band_halfwidth}"
-        )
+    h = mod_freq / 2.0
 
     bands = {
         "carrier": (-h, h),

@@ -11,7 +11,6 @@ subcommands on a scenario's parameters writes the same bytes as
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -38,13 +37,12 @@ from .signal import (
     GAUSSIAN,
     IntensityTrace,
     PulseSpec,
-    SamplingGrid,
     Waveform,
     amplitude_from_intensity,
     intensity_of,
     synth,
 )
-from .spectral import Spectrum, dft
+from .spectral import dft
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,22 +74,6 @@ def _load_waveform(path) -> Waveform:
     if isinstance(loaded, IntensityTrace):
         return amplitude_from_intensity(loaded)
     return loaded
-
-
-def _spectrum_on_grid(path, ref_grid: SamplingGrid) -> Spectrum:
-    """Load a spectrum and pin it to a reference grid.
-
-    A spectrum file stores only the detuning lattice; reconstructing dt from
-    it can drift by an ulp, so the reference grid is used verbatim after
-    checking the lattices agree.
-    """
-    s = sio.read_spectrum_csv(path)
-    if s.grid.n != ref_grid.n or not math.isclose(s.grid.df, ref_grid.df, rel_tol=1e-9):
-        raise ValidationError(
-            f"{path}: spectrum lattice (n={s.grid.n}, df={s.grid.df:.6g} Hz) does "
-            f"not match the reference grid (n={ref_grid.n}, df={ref_grid.df:.6g} Hz)"
-        )
-    return Spectrum(ref_grid, s.samples)
 
 
 def _print_kv(key: str, value: float) -> None:
@@ -140,10 +122,8 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compensate(args: argparse.Namespace) -> int:
-    if args.time_ref:
-        s_out = _spectrum_on_grid(args.spectrum, _load_waveform(args.time_ref).grid)
-    else:
-        s_out = sio.read_spectrum_csv(args.spectrum)
+    ref_grid = _load_waveform(args.time_ref).grid if args.time_ref else None
+    s_out = sio.read_spectrum_csv(args.spectrum, ref_grid)
     table = _table_from_args(args)
     medium = _medium_from_args(args) if table is None else None
     compensated, recovered, gain = compensate(
@@ -160,7 +140,7 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     w_in = _load_waveform(args.input)
-    s_out = _spectrum_on_grid(args.spectrum, w_in.grid)
+    s_out = sio.read_spectrum_csv(args.spectrum, w_in.grid)
     for key, value in decompose(s_out, dft(w_in), args.mod_khz * 1e3, Path(args.out_dir)):
         _print_kv(key, value)
     return EXIT_OK

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value check."""
+
+import math
 
 
 class SlowlightError(Exception):
@@ -11,3 +13,11 @@ class ValidationError(SlowlightError, ValueError):
 
 class NumericError(SlowlightError, ArithmeticError):
     """A numeric guard fired (e.g. a pulse truncated by its window)."""
+
+
+def require_finite(obj, *fields: str) -> None:
+    """Raise ValidationError naming the first of obj's fields that is not finite."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")

@@ -183,11 +183,12 @@ def write_spectrum_csv(path, s: Spectrum) -> None:
     _write_csv(path, SPECTRUM_HEADER, (s.detunings(), s.samples.real, s.samples.imag))
 
 
-def read_spectrum_csv(path, t_start: float | None = None) -> Spectrum:
+def read_spectrum_csv(path, grid: SamplingGrid | None = None) -> Spectrum:
     """Read a complex spectrum; the time origin is not stored in the file.
 
-    Pass t_start of the originating grid to place the inverse transform on
-    absolute times; the default centers the window on t = 0.
+    Given the originating waveform's grid, check the file's n and df (1e-9
+    relative) against it and use it verbatim, since a dt rebuilt from the
+    detunings can drift by an ulp; without one, centre the window on t = 0.
     """
     _, data = _read_csv(path, {SPECTRUM_HEADER})
     deltas = data[:, 0]
@@ -195,13 +196,17 @@ def read_spectrum_csv(path, t_start: float | None = None) -> Spectrum:
     df = _recover_spacing(deltas, f"{path}: detuning axis")
     if abs(deltas[0] + (n // 2) * df) > 1e-6 * df * n:
         raise ValidationError(f"{path}: detuning axis is not centered on 0 Hz")
-    dt = 1.0 / (n * df)
-    if t_start is None:
-        t_start = -0.5 * n * dt
-    try:
-        grid = SamplingGrid(n=n, dt=dt, t_start=t_start)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    if grid is None:
+        dt = 1.0 / (n * df)
+        try:
+            grid = SamplingGrid(n=n, dt=dt, t_start=-0.5 * n * dt)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    elif n != grid.n or not math.isclose(df, grid.df, rel_tol=1e-9):
+        raise ValidationError(
+            f"{path}: spectrum lattice (n={n}, df={df:.6g} Hz) does not match "
+            f"the reference grid (n={grid.n}, df={grid.df:.6g} Hz)"
+        )
     return Spectrum(grid, data[:, 1] + 1j * data[:, 2])
 
 
@@ -223,16 +228,15 @@ def write_transmission_csv(path, table: MeasuredTransmission) -> None:
     _write_csv(path, TRANSMISSION_HEADER, (table.detunings, table.transmissions))
 
 
-def read_transmission_csv(path, extrapolation_value: float | None = None) -> MeasuredTransmission:
+def read_transmission_csv(path) -> MeasuredTransmission:
     """Load a tabulated transmission spectrum.
 
-    extrapolation_value defaults to the mean of the two endpoint
+    Outside the table it extrapolates to the mean of the two endpoint
     transmissions (the far-detuned background level).
     """
     _, data = _read_csv(path, {TRANSMISSION_HEADER})
     detunings, transmissions = data[:, 0], data[:, 1]
-    if extrapolation_value is None:
-        extrapolation_value = 0.5 * float(transmissions[0] + transmissions[-1])
+    extrapolation_value = 0.5 * float(transmissions[0] + transmissions[-1])
     try:
         return MeasuredTransmission(detunings, transmissions, extrapolation_value)
     except ValidationError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 _TWO_PI = 2.0 * math.pi
 
@@ -38,6 +38,7 @@ class EitMedium:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "gamma_eit", "z")
         if not self.gamma_eit > 0:
             raise ValidationError(f"gamma_eit must be positive, got {self.gamma_eit}")
         if not self.z >= 0:

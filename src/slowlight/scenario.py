@@ -6,6 +6,9 @@ unit suffixes in their key names (_us, _khz) to keep microseconds and
 kilohertz straight.  Bundled scenarios live in the package's scenarios/
 directory and can be referenced by bare name.
 
+load_scenario parses each section inside _section, the one place that adds
+the `file: [section]` prefix to a ValidationError; _get parses one key.
+
 run_scenario chains the stage functions propagate, compensate, decompose and
 metric_rows; the CLI subcommands call the same stages, one each.
 """
@@ -13,6 +16,7 @@ metric_rows; the CLI subcommands call the same stages, one each.
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -74,54 +78,42 @@ class Scenario:
     out_dir: Path
 
 
-class _SectionReader:
-    """configparser access that raises ValidationError naming section.key."""
+_REQUIRED = object()
+_EXPECTED = {float: "a number", int: "an integer", bool: "a boolean"}
 
-    def __init__(self, parser: configparser.ConfigParser, origin: str, section: str):
-        self._parser = parser
-        self._origin = origin
-        self._section = section
 
-    def fail(self, key: str, message: str):
-        raise ValidationError(f"{self._origin}: [{self._section}] {key}: {message}")
+@contextmanager
+def _section(parser: configparser.ConfigParser, origin: str, name: str, required: bool):
+    """Yield section `name` ({} if absent and optional); prefix any
+    ValidationError raised in the block with `origin: [name]`."""
+    try:
+        if parser.has_section(name):
+            yield parser[name]
+        elif required:
+            raise ValidationError("missing required section")
+        else:
+            yield {}
+    except ValidationError as exc:
+        raise ValidationError(f"{origin}: [{name}] {exc}") from exc
 
-    def has(self, key: str) -> bool:
-        return self._parser.has_option(self._section, key)
 
-    def raw(self, key: str, fallback: str | None = None) -> str:
-        if not self.has(key):
-            if fallback is not None:
-                return fallback
-            self.fail(key, "missing required key")
-        return self._parser.get(self._section, key).strip()
+def _get(section, key: str, parse=str, fallback=_REQUIRED):
+    """section[key] parsed as str, float, int or bool; fallback when absent.
 
-    def number(self, key: str, fallback: float | None = None) -> float:
-        if not self.has(key) and fallback is not None:
-            return fallback
-        value = self.raw(key)
-        try:
-            return float(value)
-        except ValueError:
-            self.fail(key, f"not a number: {value!r}")
-
-    def integer(self, key: str, fallback: int | None = None) -> int:
-        if not self.has(key) and fallback is not None:
-            return fallback
-        value = self.raw(key)
-        try:
-            return int(value)
-        except ValueError:
-            self.fail(key, f"not an integer: {value!r}")
-
-    def boolean(self, key: str, fallback: bool) -> bool:
-        if not self.has(key):
-            return fallback
-        value = self.raw(key).lower()
-        if value in ("1", "yes", "true", "on"):
-            return True
-        if value in ("0", "no", "false", "off"):
-            return False
-        self.fail(key, f"not a boolean: {value!r}")
+    section is a configparser section, or {} for an absent optional one.
+    Booleans take configparser's spellings (1/yes/true/on, 0/no/false/off).
+    """
+    if key not in section:
+        if fallback is _REQUIRED:
+            raise ValidationError(f"{key}: missing required key")
+        return fallback
+    value = section[key].strip()
+    try:
+        if parse is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        return parse(value)
+    except (KeyError, ValueError):
+        raise ValidationError(f"{key}: not {_EXPECTED[parse]}: {value!r}") from None
 
 
 def _resolve_scenario_path(name_or_path: str) -> tuple[str, str]:
@@ -170,73 +162,52 @@ def pulse_grid(spec: PulseSpec, n: int | None, window: float | None) -> Sampling
 
 def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scenario:
     name, text = _resolve_scenario_path(str(name_or_path))
+    origin = str(name_or_path)
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(text, source=str(name_or_path))
+        parser.read_string(text, source=origin)
     except configparser.Error as exc:
-        raise ValidationError(f"{name_or_path}: {exc}") from exc
-    origin = str(name_or_path)
+        raise ValidationError(f"{origin}: {exc}") from exc
 
-    def section(sec: str) -> _SectionReader:
-        if not parser.has_section(sec):
-            raise ValidationError(f"{origin}: missing required section [{sec}]")
-        return _SectionReader(parser, origin, sec)
-
-    pulse_sec = section("pulse")
-    kind = pulse_sec.raw("kind").lower()
-    if kind not in (GAUSSIAN, AMG):
-        raise ValidationError(f"{origin}: [pulse] kind: must be gaussian or amg, got {kind!r}")
-    try:
+    with _section(parser, origin, "pulse", required=True) as sec:
+        kind = _get(sec, "kind").lower()
+        if kind not in (GAUSSIAN, AMG):
+            raise ValidationError(f"kind: must be gaussian or amg, got {kind!r}")
         pulse = PulseSpec(
             kind=kind,
-            t0=pulse_sec.number("t0_us") * 1e-6,
-            mod_depth=pulse_sec.number("depth", 0.0),
-            mod_freq=pulse_sec.number("mod_khz", 0.0) * 1e3,
-            center=pulse_sec.number("center_us", 0.0) * 1e-6,
+            t0=_get(sec, "t0_us", float) * 1e-6,
+            mod_depth=_get(sec, "depth", float, 0.0),
+            mod_freq=_get(sec, "mod_khz", float, 0.0) * 1e3,
+            center=_get(sec, "center_us", float, 0.0) * 1e-6,
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{origin}: [pulse] {exc}") from exc
 
-    medium_sec = section("medium")
-    values = {key: medium_sec.number(key) for key in MEDIUM_KEYS if medium_sec.has(key)}
-    try:
-        medium = resolve_medium(values)
-    except ValidationError as exc:
-        raise ValidationError(f"{origin}: [medium] {exc}") from exc
+    with _section(parser, origin, "medium", required=True) as sec:
+        medium = resolve_medium({key: _get(sec, key, float, None) for key in MEDIUM_KEYS})
+        table_path = _get(sec, "transmission_file", str, None)
+        transmission = None if table_path is None else sio.read_transmission_csv(table_path)
 
-    transmission = None
-    if medium_sec.has("transmission_file"):
-        transmission = sio.read_transmission_csv(medium_sec.raw("transmission_file"))
+    with _section(parser, origin, "grid", required=False) as sec:
+        n = _get(sec, "n", int, None)
+        window = _get(sec, "window_us", float, None)
+        grid = pulse_grid(pulse, n, None if window is None else window * 1e-6)
 
-    # optional sections: a reader of a missing section finds no keys
-    grid_sec = _SectionReader(parser, origin, "grid")
-    n = grid_sec.integer("n") if grid_sec.has("n") else None
-    window = grid_sec.number("window_us") * 1e-6 if grid_sec.has("window_us") else None
-    try:
-        grid = pulse_grid(pulse, n, window)
-    except ValidationError as exc:
-        raise ValidationError(f"{origin}: [grid] {exc}") from exc
+    with _section(parser, origin, "compensation", required=False) as sec:
+        source = _get(sec, "source", str, MODEL).lower()
+        if source not in (MODEL, MEASURED):
+            raise ValidationError(f"source: must be {MODEL!r} or {MEASURED!r}, got {source!r}")
+        if source == MEASURED and transmission is None:
+            raise ValidationError("source: 'measured' needs a [medium] transmission_file")
+        compensation = CompensationConfig(floor=_get(sec, "floor", float, 1e-3))
 
-    comp_sec = _SectionReader(parser, origin, "compensation")
-    source = comp_sec.raw("source", MODEL).lower()
-    if source not in (MODEL, MEASURED):
-        comp_sec.fail("source", f"must be {MODEL!r} or {MEASURED!r}, got {source!r}")
-    if source == MEASURED and transmission is None:
-        comp_sec.fail("source", "'measured' needs a [medium] transmission_file")
-    floor = comp_sec.number("floor", 1e-3)
-    try:
-        compensation = CompensationConfig(floor=floor)
-    except ValidationError as exc:
-        raise ValidationError(f"{origin}: [compensation] {exc}") from exc
-
-    run_sec = _SectionReader(parser, origin, "run")
-    do_compensate = run_sec.boolean("compensate", True)
-    do_decompose = run_sec.boolean("decompose", pulse.kind == AMG)
-    if do_decompose and pulse.kind != AMG:
-        raise ValidationError(f"{origin}: [run] decompose: only AMG pulses decompose")
+    with _section(parser, origin, "run", required=False) as sec:
+        do_compensate = _get(sec, "compensate", bool, True)
+        do_decompose = _get(sec, "decompose", bool, pulse.kind == AMG)
+        if do_decompose and pulse.kind != AMG:
+            raise ValidationError("decompose: only AMG pulses decompose")
 
     if out_dir is None:
-        out_dir = section("output").raw("dir")
+        with _section(parser, origin, "output", required=True) as sec:
+            out_dir = _get(sec, "dir")
     return Scenario(
         name=name,
         pulse=pulse,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 LN2 = math.log(2.0)
 
@@ -52,6 +52,7 @@ class SamplingGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or not _is_pow2(int(self.n)) or self.n < 8:
             raise ValidationError(f"grid size must be a power of two >= 8, got {self.n}")
+        require_finite(self, "dt", "t_start")
         if not self.dt > 0:
             raise ValidationError(f"sample spacing must be positive, got {self.dt}")
         object.__setattr__(self, "n", int(self.n))
@@ -142,6 +143,7 @@ class PulseSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValidationError(f"pulse kind must be one of {_KINDS}, got {self.kind!r}")
+        require_finite(self, "t0", "mod_depth", "mod_freq", "center")
         if not self.t0 > 0:
             raise ValidationError(f"pulse width t0 must be positive, got {self.t0}")
         if self.kind == AMG:

@@ -229,3 +229,42 @@ def test_run_rejects_compensation_source_without_table(tmp_path, capsys, source)
     err = capsys.readouterr().err
     assert "error[validation]" in err
     assert "[compensation] source" in err
+
+
+def _scenario_with(tmp_path, section, key, value):
+    """A valid Gaussian scenario file, bad.ini, with [section] key set to value."""
+    sections = {
+        "pulse": {"kind": "gaussian", "t0_us": "6.5"},
+        "medium": {"gamma_khz": "268.2", "z": "0.9083"},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    sections.setdefault(section, {})[key] = value
+    config = tmp_path / "bad.ini"
+    config.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+    return config
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("pulse", "t0_us", "abc", "t0_us"),
+    ("medium", "z", "abc", "z"),
+    ("grid", "n", "abc", "n"),
+    ("compensation", "floor", "abc", "floor"),
+    ("run", "compensate", "maybe", "compensate"),
+    ("pulse", "t0_us", "inf", "t0 must be finite"),
+    ("medium", "z", "inf", "z must be finite"),
+])
+def test_run_bad_value_is_prefixed_once(tmp_path, capsys, section, key, value, named):
+    config = _scenario_with(tmp_path, section, key, value)
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: [{section}] {named}" in err
+    assert err.count("bad.ini") == 1
+
+
+def test_synth_non_finite_width_is_validation_error(tmp_path, capsys):
+    assert main(["synth", "--kind", "gaussian", "--t0-us", "inf",
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert "t0 must be finite" in capsys.readouterr().err

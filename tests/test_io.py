@@ -54,12 +54,23 @@ def test_spectrum_round_trip_is_byte_identical(tmp_path, amg_spec):
     s = dft(synth(amg_spec))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_spectrum_csv(p1, s)
-    loaded = read_spectrum_csv(p1, t_start=s.grid.t_start)
+    loaded = read_spectrum_csv(p1, grid=s.grid)
     write_spectrum_csv(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
     np.testing.assert_array_equal(loaded.samples, s.samples)
     assert loaded.grid.n == s.grid.n
     assert loaded.grid.df == pytest.approx(s.grid.df, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, dt_scale", [(2, 1.0), (1, 1.0 + 1e-6)])
+def test_spectrum_pinned_to_grid_checks_lattice(tmp_path, amg_spec, n, dt_scale):
+    s = dft(synth(amg_spec))
+    path = tmp_path / "s.csv"
+    write_spectrum_csv(path, s)
+    assert read_spectrum_csv(path, grid=s.grid).grid is s.grid
+    other = SamplingGrid(n=s.grid.n * n, dt=s.grid.dt * dt_scale, t_start=s.grid.t_start)
+    with pytest.raises(ValidationError, match="does not match the reference grid"):
+        read_spectrum_csv(path, grid=other)
 
 
 def test_spectrum_default_time_origin(tmp_path, amg_spec):
@@ -96,8 +107,6 @@ def test_transmission_round_trip_and_default_extrapolation(tmp_path):
     write_transmission_csv(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.extrapolation_value == pytest.approx(0.5 * (0.12 + 0.08), rel=1e-12)
-    explicit = read_transmission_csv(p1, extrapolation_value=0.25)
-    assert explicit.extrapolation_value == 0.25
 
 
 def test_rejects_wrong_header(tmp_path):

@@ -225,6 +225,13 @@ def test_medium_validation():
         EitMedium(gamma_eit=1e5, z=1.0, scale=1.5)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["gamma_eit", "z"])
+def test_medium_rejects_non_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        EitMedium(**{"gamma_eit": 1e5, "z": 1.0, name: value})
+
+
 def _table():
     return MeasuredTransmission(
         detunings=np.array([-2e5, -1e5, 0.0, 1e5, 2e5]),

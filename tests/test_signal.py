@@ -41,6 +41,13 @@ def test_grid_rejects_bad_spacing():
         SamplingGrid(n=16, dt=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["dt", "t_start"])
+def test_grid_rejects_non_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        SamplingGrid(**{"n": 16, "dt": 1e-6, "t_start": 0.0, name: value})
+
+
 def test_grid_conjugate_lattice():
     grid = SamplingGrid(n=64, dt=1e-6, t_start=-32e-6)
     assert grid.df == pytest.approx(1.0 / (64 * 1e-6), rel=1e-15)
@@ -139,6 +146,14 @@ def test_overmodulation_rejected():
 def test_amg_needs_positive_mod_freq():
     with pytest.raises(ValidationError):
         PulseSpec(AMG, T0, mod_depth=0.5, mod_freq=0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["t0", "mod_depth", "mod_freq", "center"])
+def test_pulse_spec_rejects_non_finite(name, value):
+    fields = {"t0": T0, "mod_depth": 0.5, "mod_freq": MOD_FREQ, "center": 0.0, name: value}
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        PulseSpec(AMG, **fields)
 
 
 def test_synth_rejects_short_window(gauss_spec, amg_spec):
