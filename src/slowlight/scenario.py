@@ -7,7 +7,9 @@ kilohertz straight.  Bundled scenarios live in the package's scenarios/
 directory and can be referenced by bare name.
 
 load_scenario parses each section inside _section, the one place that adds
-the `file: [section]` prefix to a ValidationError; _get parses one key.
+the `file: [section]` prefix to a ValidationError or OSError; _get parses
+one key.  A relative [medium] transmission_file is read from the scenario
+file's directory.
 
 run_scenario chains the stage functions propagate, compensate, decompose and
 metric_rows; the CLI subcommands call the same stages, one each.
@@ -85,7 +87,7 @@ _EXPECTED = {float: "a number", int: "an integer", bool: "a boolean"}
 @contextmanager
 def _section(parser: configparser.ConfigParser, origin: str, name: str, required: bool):
     """Yield section `name` ({} if absent and optional); prefix any
-    ValidationError raised in the block with `origin: [name]`."""
+    ValidationError or OSError raised in the block with `origin: [name]`."""
     try:
         if parser.has_section(name):
             yield parser[name]
@@ -93,8 +95,8 @@ def _section(parser: configparser.ConfigParser, origin: str, name: str, required
             raise ValidationError("missing required section")
         else:
             yield {}
-    except ValidationError as exc:
-        raise ValidationError(f"{origin}: [{name}] {exc}") from exc
+    except (ValidationError, OSError) as exc:
+        raise type(exc)(f"{origin}: [{name}] {exc}") from exc
 
 
 def _get(section, key: str, parse=str, fallback=_REQUIRED):
@@ -184,7 +186,10 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
     with _section(parser, origin, "medium", required=True) as sec:
         medium = resolve_medium({key: _get(sec, key, float, None) for key in MEDIUM_KEYS})
         table_path = _get(sec, "transmission_file", str, None)
-        transmission = None if table_path is None else sio.read_transmission_csv(table_path)
+        # a bundled name has no directory part: its tables resolve against "."
+        transmission = None if table_path is None else sio.read_transmission_csv(
+            Path(origin).parent / table_path
+        )
 
     with _section(parser, origin, "grid", required=False) as sec:
         n = _get(sec, "n", int, None)

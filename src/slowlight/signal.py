@@ -26,6 +26,9 @@ AMG = "amg"
 
 _KINDS = (GAUSSIAN, AMG)
 
+# largest grid size: 64 MiB per complex array
+MAX_GRID_N = 1 << 22
+
 
 def gaussian_spectral_fwhm(t0: float) -> float:
     """FWHM (Hz) of the intensity spectrum of a Gaussian pulse with width t0."""
@@ -40,9 +43,10 @@ def _is_pow2(n: int) -> bool:
 class SamplingGrid:
     """Uniform time lattice with its conjugate detuning lattice.
 
-    The n time samples start at t_start with spacing dt.  The conjugate
-    lattice has spacing df = 1/(n*dt) and spans +-1/(2*dt), with the zero
-    detuning (carrier) bin at index n//2.
+    The n time samples start at t_start with spacing dt; n is a power of
+    two from 8 to MAX_GRID_N.  The conjugate lattice has spacing
+    df = 1/(n*dt) and spans +-1/(2*dt), with the zero detuning (carrier) bin
+    at index n//2.
     """
 
     n: int
@@ -52,6 +56,8 @@ class SamplingGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or not _is_pow2(int(self.n)) or self.n < 8:
             raise ValidationError(f"grid size must be a power of two >= 8, got {self.n}")
+        if self.n > MAX_GRID_N:
+            raise ValidationError(f"grid size {self.n} exceeds the cap of {MAX_GRID_N}")
         require_finite(self, "dt", "t_start")
         if not self.dt > 0:
             raise ValidationError(f"sample spacing must be positive, got {self.dt}")

@@ -9,10 +9,18 @@ physical units,
 
 A channel phase exp(-i Phi) with dPhi/ddelta > 0 then delays the envelope,
 consistent with the shift theorem.
+
+The phase ramp exp(-+i 2 pi delta_k t_0) over the grid's detunings (the
+forward one times dt) is memoised for the last two (grid, sign) keys, so the
+transforms of one pipeline build it once per direction.  SamplingGrid caps n
+at 2**22, which bounds the memo at two 64 MiB arrays.  idft multiplies
+samples * ramp in that order: complex multiply is not bitwise commutative,
+so the order fixes the output bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,18 +56,35 @@ class Spectrum:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.df)
 
 
+def _ramp(grid: SamplingGrid, sign: int) -> np.ndarray:
+    """exp(sign i 2 pi delta t_start) over the grid's detunings, times dt
+    when sign is -1 (the forward transform); read-only and memoised."""
+    # grids with t_start 0.0 and -0.0 are equal, but their ramps differ in
+    # the sign of zero, so that sign is part of the memo key
+    return _memo_ramp(grid, sign, math.copysign(1.0, grid.t_start))
+
+
+@functools.lru_cache(maxsize=2)
+def _memo_ramp(grid: SamplingGrid, sign: int, zero_sign: float) -> np.ndarray:
+    if sign < 0:
+        ramp = grid.dt * np.exp(-1j * _TWO_PI * grid.detunings() * grid.t_start)
+    else:
+        ramp = np.exp(1j * _TWO_PI * grid.detunings() * grid.t_start)
+    ramp.setflags(write=False)
+    return ramp
+
+
 def dft(w: Waveform) -> Spectrum:
     """Forward transform of a waveform onto its grid's detuning lattice."""
     grid = w.grid
     raw = np.fft.fftshift(np.fft.fft(w.samples))
-    phase = np.exp(-1j * _TWO_PI * grid.detunings() * grid.t_start)
-    return Spectrum(grid, grid.dt * phase * raw)
+    return Spectrum(grid, _ramp(grid, -1) * raw)
 
 
 def idft(s: Spectrum) -> Waveform:
     """Inverse transform; exact inverse of dft up to float rounding."""
     grid = s.grid
-    unphased = s.samples * np.exp(1j * _TWO_PI * grid.detunings() * grid.t_start)
+    unphased = s.samples * _ramp(grid, +1)
     return Waveform(grid, np.fft.ifft(np.fft.ifftshift(unphased)) / grid.dt)
 
 

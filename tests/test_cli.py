@@ -268,3 +268,48 @@ def test_synth_non_finite_width_is_validation_error(tmp_path, capsys):
     assert main(["synth", "--kind", "gaussian", "--t0-us", "inf",
                  "--out", str(tmp_path / "g.csv")]) == 2
     assert "t0 must be finite" in capsys.readouterr().err
+
+
+def test_run_grid_over_the_cap_is_validation_error(tmp_path, capsys):
+    config = tmp_path / "big.ini"
+    config.write_text(
+        "[pulse]\nkind = gaussian\nt0_us = 6.5\n"
+        "[medium]\ngamma_khz = 268.2\nz = 0.9083\n"
+        "[grid]\nn = 8388608\nwindow_us = 240\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "[grid] grid size 8388608 exceeds the cap of 4194304" in err
+
+
+def _table_scenario(path, table, out_dir):
+    path.write_text(
+        "[pulse]\nkind = gaussian\nt0_us = 6.5\n"
+        "[medium]\npeak = 0.615\nbackground = 0.10\nfwhm_khz = 350\n"
+        f"transmission_file = {table}\n"
+        "[compensation]\nsource = measured\n"
+        f"[output]\ndir = {out_dir}\n"
+    )
+
+
+def test_run_reads_relative_table_beside_the_scenario(tmp_path, monkeypatch, capsys):
+    detunings = np.linspace(-3e6, 3e6, 5)
+    (tmp_path / "sub").mkdir()
+    write_transmission_csv(tmp_path / "sub" / "t.csv", MeasuredTransmission(detunings, np.full(5, 0.5)))
+    # a decoy in the current directory, which a cwd-relative lookup would read
+    write_transmission_csv(tmp_path / "t.csv", MeasuredTransmission(detunings, np.full(5, 0.25)))
+    _table_scenario(tmp_path / "sub" / "alias.ini", "t.csv", tmp_path / "out")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "sub/alias.ini"]) == 0
+    _, gain = read_detuning_series_csv(tmp_path / "out" / "gain_spectrum.csv")
+    np.testing.assert_array_equal(gain, 2.0)  # 1 / 0.5: sub/t.csv, not ./t.csv
+
+
+def test_run_missing_table_names_the_scenario(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    _table_scenario(config, "nope.csv", tmp_path / "out")
+    assert main(["run", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert f"error[io]: {config}: [medium]" in err
+    assert str(tmp_path / "nope.csv") in err

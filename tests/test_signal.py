@@ -1,6 +1,7 @@
 """Pulse synthesis, grids, and intensity/amplitude conversion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from slowlight import (
     peak_location,
     synth,
 )
+from slowlight.scenario import pulse_grid
+from slowlight.signal import MAX_GRID_N
 
 LN2 = math.log(2.0)
 
@@ -34,6 +37,27 @@ from conftest import MOD_FREQ, T0
 def test_grid_rejects_bad_sizes(n):
     with pytest.raises(ValidationError):
         SamplingGrid(n=n, dt=1e-6)
+
+
+def test_grid_size_cap():
+    assert SamplingGrid(n=MAX_GRID_N, dt=1e-9).n == 2**22
+    with pytest.raises(ValidationError, match=f"grid size {2 * MAX_GRID_N} exceeds the cap of {MAX_GRID_N}"):
+        SamplingGrid(n=2 * MAX_GRID_N, dt=1e-9)
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: default_grid(PulseSpec(AMG, 1e-3, 1.0, 1e9)), 2**30),
+    (lambda: pulse_grid(PulseSpec(GAUSSIAN, 1e-6), 2**40, 1e-3), 2**40),
+], ids=["default_grid", "pulse_grid"])
+def test_oversized_grid_is_rejected_before_allocating(make, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"grid size {n} exceeds the cap of {MAX_GRID_N}"):
+            make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_grid_rejects_bad_spacing():

@@ -25,6 +25,8 @@ from slowlight import (
     synth,
 )
 
+from slowlight.spectral import _memo_ramp, _ramp
+
 from conftest import MOD_DEPTH, MOD_FREQ, T0
 
 LN2 = math.log(2.0)
@@ -261,3 +263,75 @@ def test_spectrum_length_mismatch():
     grid = SamplingGrid(n=16, dt=1e-6)
     with pytest.raises(ValidationError):
         Spectrum(grid, np.zeros(8, dtype=complex))
+
+
+def _parent_dft(w):
+    """dft before its phase ramp was memoised."""
+    grid = w.grid
+    raw = np.fft.fftshift(np.fft.fft(w.samples))
+    phase = np.exp(-1j * 2.0 * math.pi * grid.detunings() * grid.t_start)
+    return grid.dt * phase * raw
+
+
+def _parent_idft(s):
+    """idft before its phase ramp was memoised."""
+    grid = s.grid
+    unphased = s.samples * np.exp(1j * 2.0 * math.pi * grid.detunings() * grid.t_start)
+    return np.fft.ifft(np.fft.ifftshift(unphased)) / grid.dt
+
+
+def _memo_grids(rng, n):
+    dt = 1e-7
+    return [
+        SamplingGrid(n, dt, -n * dt / 2),  # centred
+        SamplingGrid(n, dt, rng.uniform(-n, n) * dt),  # off-centre
+        SamplingGrid(n, dt, 0.0),
+        SamplingGrid(n, dt, -0.0),  # equal to the 0.0 grid, but not its ramp
+    ]
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(3, 14)])
+def test_memoised_transforms_match_the_inline_ramp_bitwise(rng, n):
+    _memo_ramp.cache_clear()
+    for grid in _memo_grids(rng, n):  # 0.0 then -0.0: a memo hit on equal grids
+        # all -0.0: idft tells the ramps of t_start 0.0 and -0.0 apart on it
+        for samples in (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                        -np.zeros(n, dtype=complex)):
+            w = Waveform(grid, samples)
+            assert dft(w).samples.tobytes() == _parent_dft(w).tobytes()
+            s = Spectrum(grid, samples)
+            assert idft(s).samples.tobytes() == _parent_idft(s).tobytes()
+
+
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_memo_hit_equals_miss_at_large_n(rng, n):
+    grid = SamplingGrid(n, 1e-7, -0.37 * n * 1e-7)
+    w = Waveform(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    s = Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    _memo_ramp.cache_clear()
+    misses = dft(w).samples.tobytes(), idft(s).samples
+    hits = dft(w).samples.tobytes(), idft(s).samples
+    assert _memo_ramp.cache_info().hits == 2
+    assert misses[0] == hits[0] and misses[1].tobytes() == hits[1].tobytes()
+    assert misses[0] == _parent_dft(w).tobytes()
+    # numpy computes the parent's product as ramp * samples here, whose
+    # rounding differs from samples * ramp
+    parent = _parent_idft(s)
+    assert np.max(np.abs(hits[1] - parent)) <= 1e-15 * np.max(np.abs(parent))
+
+
+def test_ramp_is_read_only():
+    grid = SamplingGrid(64, 1e-7, -3.2e-6)
+    for sign in (-1, +1):
+        ramp = _ramp(grid, sign)
+        assert not ramp.flags.writeable
+        with pytest.raises(ValueError):
+            ramp[0] = 0.0
+
+
+def test_one_grid_builds_two_ramps(rng):
+    w = _random_waveform(rng)
+    _memo_ramp.cache_clear()
+    for _ in range(3):
+        idft(dft(w))
+    assert tuple(_memo_ramp.cache_info())[:3] == (4, 2, 2)
