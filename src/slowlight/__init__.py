@@ -32,8 +32,8 @@ from .propagation import (
     Channel,
     EdgeEnergyWarning,
     field_response,
+    propagate,
     propagate_spectrum,
-    propagate_waveform,
 )
 from .scenario import Scenario, load_scenario, run_scenario
 from .signal import (
@@ -103,8 +103,8 @@ __all__ = [
     "measure_metrics",
     "peak_location",
     "phase_response",
+    "propagate",
     "propagate_spectrum",
-    "propagate_waveform",
     "recover_waveform",
     "run_scenario",
     "synth",

@@ -110,7 +110,8 @@ def decompose_components(
     carrier [-f/2, f/2), right [f/2, 3f/2), left [-3f/2, -f/2).  Components
     come from the output spectrum; the common reference pulse is the carrier
     band of the input spectrum.  Delays are measured peak to peak against
-    the reference.
+    the reference.  A right band reaching past the Nyquist frequency would
+    alias, so it is rejected.
     """
     if s_out.grid != s_in.grid:
         raise ValidationError("output and input spectra must share one grid")
@@ -123,6 +124,12 @@ def decompose_components(
         "left": (-mod_freq - h, -mod_freq + h),
         "right": (mod_freq - h, mod_freq + h),
     }
+    top, nyquist = bands["right"][1], s_out.grid.nyquist
+    if top > nyquist:
+        raise ValidationError(
+            f"the right band's top 3*mod_freq/2 = {top} Hz lies above the "
+            f"Nyquist frequency {nyquist} Hz; the sidebands would alias"
+        )
     for label, s in (("input", s_in), ("output", s_out)):
         total = s.energy()
         if total == 0.0:

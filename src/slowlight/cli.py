@@ -4,8 +4,10 @@ Each pipeline subcommand is one stage of scenario.run_scenario: synth,
 propagate, compensate, decompose and metrics parse their options, read their
 input CSV files, call the stage and write what it returns, so a chain of
 subcommands on a scenario's parameters writes the same bytes as
-`slowlight run`.  Exit codes: 0 ok, 2 validation error, 3 numeric guard,
-4 I/O error.
+`slowlight run`.  propagate builds the analytic channel of the medium
+options, or the hybrid one with --transmission-file, and calls
+propagation.propagate.  Exit codes: 0 ok, 2 validation error, 3 numeric
+guard, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import io as sio
 from .analysis import CompensationConfig
 from .errors import NumericError, ValidationError
 from .medium import EitMedium, MeasuredTransmission
-from .propagation import EdgeEnergyWarning
+from .propagation import Channel, EdgeEnergyWarning, propagate
 from .scenario import (
     BUNDLED_SCENARIOS,
     MEDIUM_KEYS,
@@ -27,7 +29,6 @@ from .scenario import (
     decompose,
     load_scenario,
     metric_rows,
-    propagate,
     pulse_grid,
     resolve_medium,
     run_scenario,
@@ -113,8 +114,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_propagate(args: argparse.Namespace) -> int:
     w = _load_waveform(args.input)
-    medium = _medium_from_args(args)
-    _, s_out, out = propagate(w, medium, _table_from_args(args))
+    _, s_out, out = propagate(w, Channel(_medium_from_args(args), _table_from_args(args)))
     sio.write_intensity_csv(args.out, intensity_of(out))
     if args.spectrum_out:
         sio.write_spectrum_csv(args.spectrum_out, s_out)

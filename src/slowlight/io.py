@@ -229,15 +229,9 @@ def write_transmission_csv(path, table: MeasuredTransmission) -> None:
 
 
 def read_transmission_csv(path) -> MeasuredTransmission:
-    """Load a tabulated transmission spectrum.
-
-    Outside the table it extrapolates to the mean of the two endpoint
-    transmissions (the far-detuned background level).
-    """
+    """Load a tabulated transmission spectrum."""
     _, data = _read_csv(path, {TRANSMISSION_HEADER})
-    detunings, transmissions = data[:, 0], data[:, 1]
-    extrapolation_value = 0.5 * float(transmissions[0] + transmissions[-1])
     try:
-        return MeasuredTransmission(detunings, transmissions, extrapolation_value)
+        return MeasuredTransmission(data[:, 0], data[:, 1])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

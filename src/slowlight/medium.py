@@ -10,6 +10,10 @@ and phase Phi(delta) = delta * z * gamma / (delta^2 + gamma^2).  Detunings and
 gamma_eit are ordinary frequencies in Hz, so the group delay carries a 1/2pi.
 The scale factor models the overall (background) intensity transmission level
 of a measured window: far-detuned intensity transmission is scale * e^(-2z).
+
+A MeasuredTransmission tabulates a window's intensity transmission instead;
+transmission_lookup interpolates it linearly and returns the mean of the two
+endpoint transmissions outside the table.
 """
 
 from __future__ import annotations
@@ -115,12 +119,12 @@ class MeasuredTransmission:
     """Tabulated intensity transmission versus detuning.
 
     Lookups interpolate linearly between the tabulated points and return
-    extrapolation_value outside the tabulated range.
+    the mean of the two endpoint transmissions (the far-detuned background
+    level) outside the tabulated range.
     """
 
     detunings: np.ndarray = field(repr=False)
     transmissions: np.ndarray = field(repr=False)
-    extrapolation_value: float = 0.0
 
     def __post_init__(self) -> None:
         d = np.array(self.detunings, dtype=np.float64)
@@ -133,10 +137,6 @@ class MeasuredTransmission:
             raise ValidationError("tabulated detunings must be strictly increasing")
         if not np.all((t >= 0) & (t <= 1)):
             raise ValidationError("tabulated transmissions must lie in [0, 1]")
-        if not 0.0 <= self.extrapolation_value <= 1.0:
-            raise ValidationError(
-                f"extrapolation_value must lie in [0, 1], got {self.extrapolation_value}"
-            )
         d.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "detunings", d)
@@ -146,11 +146,7 @@ class MeasuredTransmission:
 def transmission_lookup(table: MeasuredTransmission, delta):
     """Interpolated intensity transmission at delta (Hz), clamped to [0, 1]."""
     d = np.asarray(delta, dtype=np.float64)
-    value = np.interp(
-        d,
-        table.detunings,
-        table.transmissions,
-        left=table.extrapolation_value,
-        right=table.extrapolation_value,
-    )
+    t = table.transmissions
+    outside = 0.5 * float(t[0] + t[-1])
+    value = np.interp(d, table.detunings, t, left=outside, right=outside)
     return np.clip(value, 0.0, 1.0)

@@ -1,10 +1,11 @@
-"""Apply a linear channel to a pulse in the spectral domain.
+"""Apply the EIT channel to a pulse in the spectral domain.
 
 A channel multiplies the field spectrum bin-wise by A(delta) exp(-i Phi(delta)).
-The amplitude may come from the analytic medium or from a measured
-transmission table (whose values are intensity transmission, so field
-filtering uses their square root); the phase always comes from the analytic
-medium, or is zero for amplitude-only filtering.
+The phase always comes from the analytic medium.  The amplitude comes from
+the medium too (the analytic channel), or from a measured transmission table
+(the hybrid channel), whose values are intensity transmission, so field
+filtering uses their square root.  propagate is the one dft -> multiply ->
+idft path, with the wrap-around guard on its output.
 """
 
 from __future__ import annotations
@@ -36,47 +37,30 @@ _EDGE_ENERGY_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class Channel:
-    """Linear channel: an amplitude source plus an optional phase source.
+    """The medium's channel, with the table's amplitude when one is given."""
 
-    phase_source None gives amplitude-only filtering, useful for
-    compensation studies rather than physical propagation.
-    """
-
-    amplitude_source: EitMedium | MeasuredTransmission
-    phase_source: EitMedium | None
+    medium: EitMedium
+    table: MeasuredTransmission | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.amplitude_source, (EitMedium, MeasuredTransmission)):
-            raise ValidationError(
-                "amplitude_source must be an EitMedium or a MeasuredTransmission"
-            )
-        if self.phase_source is not None and not isinstance(self.phase_source, EitMedium):
-            raise ValidationError("phase_source must be an EitMedium or None")
+        if not isinstance(self.medium, EitMedium):
+            raise ValidationError("medium must be an EitMedium")
+        if self.table is not None and not isinstance(self.table, MeasuredTransmission):
+            raise ValidationError("table must be a MeasuredTransmission or None")
 
     @classmethod
     def analytic(cls, medium: EitMedium) -> "Channel":
         """Fully analytic channel: amplitude and phase from the same medium."""
-        return cls(amplitude_source=medium, phase_source=medium)
-
-    @classmethod
-    def hybrid(cls, table: MeasuredTransmission, medium: EitMedium) -> "Channel":
-        """Measured amplitude with the analytic dispersion of `medium`."""
-        return cls(amplitude_source=table, phase_source=medium)
-
-    @classmethod
-    def amplitude_only(cls, source: EitMedium | MeasuredTransmission) -> "Channel":
-        return cls(amplitude_source=source, phase_source=None)
+        return cls(medium)
 
 
 def field_response(ch: Channel, delta) -> np.ndarray:
     """Complex field response A(delta) exp(-i Phi(delta)) at delta (Hz)."""
-    if isinstance(ch.amplitude_source, EitMedium):
-        amp = amplitude_response(ch.amplitude_source, delta)
+    if ch.table is None:
+        amp = amplitude_response(ch.medium, delta)
     else:
-        amp = np.sqrt(transmission_lookup(ch.amplitude_source, delta))
-    if ch.phase_source is None:
-        return np.asarray(amp, dtype=np.complex128)
-    return amp * np.exp(-1j * phase_response(ch.phase_source, delta))
+        amp = np.sqrt(transmission_lookup(ch.table, delta))
+    return amp * np.exp(-1j * phase_response(ch.medium, delta))
 
 
 def propagate_spectrum(s_in: Spectrum, ch: Channel) -> Spectrum:
@@ -84,15 +68,18 @@ def propagate_spectrum(s_in: Spectrum, ch: Channel) -> Spectrum:
     return Spectrum(s_in.grid, s_in.samples * field_response(ch, s_in.detunings()))
 
 
-def propagate_waveform(w: Waveform, ch: Channel) -> Waveform:
-    """dft -> multiply -> idft pipeline; output may be complex.
+def propagate(w: Waveform, ch: Channel) -> tuple[Spectrum, Spectrum, Waveform]:
+    """Input spectrum, output spectrum and output waveform of w through ch.
 
-    Warns when more than 1e-6 of the output energy sits in the outer 5% of
-    the window, the signature of circular wrap-around of a delayed pulse.
+    The output waveform may be complex.  Warns with EdgeEnergyWarning when
+    more than 1e-6 of its energy sits in the outer 5% of the window, the
+    signature of circular wrap-around of a delayed pulse.
     """
-    out = idft(propagate_spectrum(dft(w), ch))
-    warn_if_wrapped(out)
-    return out
+    s_in = dft(w)
+    s_out = propagate_spectrum(s_in, ch)
+    output = idft(s_out)
+    warn_if_wrapped(output)
+    return s_in, s_out, output
 
 
 def warn_if_wrapped(w: Waveform) -> None:

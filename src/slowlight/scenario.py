@@ -11,8 +11,9 @@ the `file: [section]` prefix to a ValidationError or OSError; _get parses
 one key.  A relative [medium] transmission_file is read from the scenario
 file's directory.
 
-run_scenario chains the stage functions propagate, compensate, decompose and
-metric_rows; the CLI subcommands call the same stages, one each.
+run_scenario chains the stage functions propagation.propagate, compensate,
+decompose and metric_rows; the CLI subcommands call the same stages, one
+each.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .medium import (
     intensity_transmission,
     transmission_lookup,
 )
-from .propagation import Channel, propagate_spectrum, warn_if_wrapped
+from .propagation import Channel, propagate
 from .signal import (
     AMG,
     GAUSSIAN,
@@ -51,7 +52,7 @@ from .signal import (
     intensity_of,
     synth,
 )
-from .spectral import Spectrum, dft, idft, intensity_spectrum
+from .spectral import Spectrum, intensity_spectrum
 
 BUNDLED_SCENARIOS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4")
 
@@ -65,13 +66,13 @@ MEDIUM_KEYS = ("gamma_khz", "z", "scale", "peak", "background", "fwhm_khz")
 
 @dataclass(frozen=True)
 class Scenario:
-    """transmission: measured channel amplitude, if any; compensation_table:
-    the table compensation divides out instead of the model, if any."""
+    """channel: the medium, with the measured table's amplitude if any;
+    compensation_table: the table compensation divides out instead of the
+    model, if any."""
 
     name: str
     pulse: PulseSpec
-    medium: EitMedium
-    transmission: MeasuredTransmission | None
+    channel: Channel
     grid: SamplingGrid
     compensation: CompensationConfig
     compensation_table: MeasuredTransmission | None
@@ -216,8 +217,7 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
     return Scenario(
         name=name,
         pulse=pulse,
-        medium=medium,
-        transmission=transmission,
+        channel=Channel(medium, transmission),
         grid=grid,
         compensation=compensation,
         compensation_table=transmission if source == MEASURED else None,
@@ -225,21 +225,6 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
         do_decompose=do_decompose,
         out_dir=Path(out_dir),
     )
-
-
-def propagate(pulse: Waveform, medium: EitMedium, table: MeasuredTransmission | None):
-    """Input spectrum, output spectrum and output waveform of `pulse`.
-
-    The channel is the analytic one of `medium`, or the hybrid one (the
-    table's amplitude, the medium's phase) when a table is given.  Warns
-    with EdgeEnergyWarning when the output wraps around the window.
-    """
-    channel = Channel.analytic(medium) if table is None else Channel.hybrid(table, medium)
-    s_in = dft(pulse)
-    s_out = propagate_spectrum(s_in, channel)
-    output = idft(s_out)
-    warn_if_wrapped(output)
-    return s_in, s_out, output
 
 
 def compensate(s_out: Spectrum, medium: EitMedium | None,
@@ -294,11 +279,12 @@ def run_scenario(sc: Scenario) -> dict[str, float]:
     out.mkdir(parents=True, exist_ok=True)
 
     pulse = synth(sc.pulse, sc.grid)
-    s_in, s_out, output = propagate(pulse, sc.medium, sc.transmission)
+    s_in, s_out, output = propagate(pulse, sc.channel)
+    medium = sc.channel.medium
     rows: list[tuple[str, float]] = [
-        ("gamma_eit_hz", sc.medium.gamma_eit),
-        ("z", sc.medium.z),
-        ("scale", sc.medium.scale),
+        ("gamma_eit_hz", medium.gamma_eit),
+        ("z", medium.z),
+        ("scale", medium.scale),
     ]
     rows += metric_rows("output_", output, pulse)
 
@@ -309,7 +295,7 @@ def run_scenario(sc: Scenario) -> dict[str, float]:
 
     if sc.do_compensate:
         compensated, recovered, gain = compensate(
-            s_out, sc.medium, sc.compensation_table, sc.compensation
+            s_out, medium, sc.compensation_table, sc.compensation
         )
         rows += metric_rows("recovered_", recovered, pulse)
         deltas = s_out.detunings()

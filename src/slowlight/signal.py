@@ -176,11 +176,12 @@ def default_grid(spec: PulseSpec) -> SamplingGrid:
     spectral_fwhm = gaussian_spectral_fwhm(spec.t0)
     f_top = spectral_fwhm + (spec.mod_freq if spec.kind == AMG else 0.0)
     window = max(16.0 * spec.t0, 8.0 / spectral_fwhm)
-    n_needed = max(
-        8,
-        math.ceil(2.0 * 8.0 * f_top * window),
-        math.ceil(4.0 * window / spec.t0),
-    )
+    needed = max(2.0 * 8.0 * f_top * window, 4.0 * window / spec.t0)
+    if not math.isfinite(needed):  # math.ceil would raise OverflowError
+        raise ValidationError(
+            f"grid sample count {needed} is not finite; the cap is {MAX_GRID_N}"
+        )
+    n_needed = max(8, math.ceil(needed))
     n = 8
     while n < n_needed:
         n *= 2

@@ -270,6 +270,30 @@ def test_synth_non_finite_width_is_validation_error(tmp_path, capsys):
     assert "t0 must be finite" in capsys.readouterr().err
 
 
+def test_synth_overflowing_grid_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--kind", "amg", "--t0-us", "1e306", "--depth", "1",
+                 "--mod-khz", "1e297", "--out", str(out)]) == 2
+    assert "grid sample count inf is not finite; the cap is 4194304" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_aliased_decompose_is_validation_error(tmp_path, capsys):
+    # fig3b's pulse and medium on a grid whose Nyquist frequency (640 kHz)
+    # lies below the right band's top, 3 * 700 kHz / 2
+    config = tmp_path / "aliased.ini"
+    config.write_text(
+        "[pulse]\nkind = amg\nt0_us = 6.5\ndepth = 1.0\nmod_khz = 700\n"
+        "[medium]\npeak = 0.615\nbackground = 0.10\nfwhm_khz = 350\n"
+        "[grid]\nn = 256\nwindow_us = 200\n"
+        "[run]\ndecompose = yes\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "1050000.0 Hz" in err and "Nyquist frequency 640000.0 Hz" in err
+
+
 def test_run_grid_over_the_cap_is_validation_error(tmp_path, capsys):
     config = tmp_path / "big.ini"
     config.write_text(

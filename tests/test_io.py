@@ -12,6 +12,7 @@ from slowlight import (
     Waveform,
     dft,
     synth,
+    transmission_lookup,
 )
 from slowlight.io import (
     read_detuning_series_csv,
@@ -99,14 +100,17 @@ def test_detuning_series_round_trips(tmp_path):
 
 def test_transmission_round_trip_and_default_extrapolation(tmp_path):
     table = MeasuredTransmission(
-        np.array([-3e5, -1e5, 1e5, 3e5]), np.array([0.12, 0.4, 0.5, 0.08]), 0.1
+        np.array([-3e5, -1e5, 1e5, 3e5]), np.array([0.12, 0.4, 0.5, 0.08])
     )
     p1, p2 = tmp_path / "t.csv", tmp_path / "t2.csv"
     write_transmission_csv(p1, table)
     loaded = read_transmission_csv(p1)
     write_transmission_csv(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
-    assert loaded.extrapolation_value == pytest.approx(0.5 * (0.12 + 0.08), rel=1e-12)
+    # outside the table both extrapolate to the mean of the endpoints
+    far = np.array([-1e6, 1e6])
+    for t in (table, loaded):
+        np.testing.assert_allclose(transmission_lookup(t, far), 0.5 * (0.12 + 0.08), rtol=1e-12)
 
 
 def test_rejects_wrong_header(tmp_path):

@@ -236,7 +236,6 @@ def _table():
     return MeasuredTransmission(
         detunings=np.array([-2e5, -1e5, 0.0, 1e5, 2e5]),
         transmissions=np.array([0.2, 0.4, 0.6, 0.4, 0.2]),
-        extrapolation_value=0.10,
     )
 
 
@@ -252,30 +251,33 @@ def test_transmission_lookup_midpoint():
 
 
 def test_transmission_lookup_extrapolation():
-    table = _table()
-    assert transmission_lookup(table, 9e5) == 0.10
-    assert transmission_lookup(table, -9e5) == 0.10
+    # outside the table: the mean of the endpoints, not the nearest endpoint
+    table = MeasuredTransmission(
+        np.array([-2e5, -1e5, 0.0, 1e5, 2e5]), np.array([0.3, 0.4, 0.6, 0.4, 0.1])
+    )
+    assert transmission_lookup(table, 9e5) == 0.5 * float(0.3 + 0.1)
+    assert transmission_lookup(table, -9e5) == 0.5 * float(0.3 + 0.1)
 
 
 def test_transmission_lookup_array_and_clamp():
     table = _table()
     values = np.asarray(transmission_lookup(table, np.array([-3e5, -5e4, 5e4, 3e5])))
-    np.testing.assert_allclose(values, [0.10, 0.5, 0.5, 0.10], rtol=1e-12)
+    np.testing.assert_allclose(values, [0.2, 0.5, 0.5, 0.2], rtol=1e-12)
     assert np.all((values >= 0) & (values <= 1))
 
 
 def test_measured_transmission_validation():
     with pytest.raises(ValidationError):
-        MeasuredTransmission(np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.2, 0.3]), 0.1)
+        MeasuredTransmission(np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValidationError):
         MeasuredTransmission(
-            np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.1, 0.2, 0.3, 0.4]), 0.1
+            np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.1, 0.2, 0.3, 0.4])
         )
     with pytest.raises(ValidationError):
         MeasuredTransmission(
-            np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, 1.3, 0.4]), 0.1
+            np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, 1.3, 0.4])
         )
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         MeasuredTransmission(
-            np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, np.nan, 0.4]), 0.1
+            np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, np.nan, 0.4])
         )

@@ -16,19 +16,22 @@ from slowlight import (
     Spectrum,
     ValidationError,
     Waveform,
+    amplitude_response,
     band_extract,
     default_grid,
     dft,
     field_response,
     group_delay,
     idft,
-    intensity_spectrum,
     peak_location,
+    phase_response,
+    propagate,
     propagate_spectrum,
-    propagate_waveform,
     synth,
     transmission_lookup,
 )
+
+from slowlight.io import read_transmission_csv, write_transmission_csv
 
 from conftest import MOD_FREQ
 
@@ -43,34 +46,8 @@ def test_identity_channel_is_binwise_identity(gauss_spec, gauss_grid):
 def test_identity_channel_waveform(gauss_spec, gauss_grid):
     channel = Channel.analytic(EitMedium(gamma_eit=1e5, z=0.0, scale=1.0))
     w = synth(gauss_spec, gauss_grid)
-    out = propagate_waveform(w, channel)
+    out = propagate(w, channel)[2]
     np.testing.assert_allclose(out.samples, w.samples, rtol=0, atol=1e-12)
-
-
-def test_amplitude_only_channel_keeps_symmetry(gauss_spec, gauss_grid, calibrated):
-    channel = Channel.amplitude_only(calibrated)
-    w = synth(gauss_spec, gauss_grid)
-    s_out = propagate_spectrum(dft(w), channel)
-    # intensity spectrum scaled exactly by the transmission
-    expected = intensity_spectrum(dft(w)) * np.asarray(
-        field_response(channel, s_out.detunings())
-    ).real ** 2
-    np.testing.assert_allclose(intensity_spectrum(s_out), expected, rtol=1e-12, atol=0)
-    # zero phase: no delay, output symmetric about the same center
-    out = idft(s_out)
-    t = gauss_grid.times()
-    shift = peak_location(t, np.abs(out.samples) ** 2) - peak_location(
-        t, np.abs(w.samples) ** 2
-    )
-    assert abs(shift) < gauss_grid.dt / 10.0
-    intensity = np.abs(out.samples) ** 2
-    k = np.arange(1, gauss_grid.n // 2)
-    np.testing.assert_allclose(
-        intensity[gauss_grid.n // 2 - k],
-        intensity[gauss_grid.n // 2 + k],
-        rtol=1e-9,
-        atol=1e-12 * intensity.max(),
-    )
 
 
 def test_pure_delay_response_shifts_peak(gauss_spec, gauss_grid):
@@ -90,7 +67,7 @@ def test_pure_delay_response_shifts_peak(gauss_spec, gauss_grid):
 def test_narrowband_gaussian_delay_matches_group_delay(gauss_spec, gauss_grid, calibrated):
     medium = EitMedium(gamma_eit=calibrated.gamma_eit, z=calibrated.z, scale=1.0)
     w = synth(gauss_spec, gauss_grid)
-    out = propagate_waveform(w, Channel.analytic(medium))
+    out = propagate(w, Channel.analytic(medium))[2]
     t = gauss_grid.times()
     delay = peak_location(t, np.abs(out.samples) ** 2) - peak_location(
         t, np.abs(w.samples) ** 2
@@ -107,7 +84,7 @@ def test_amg_peak_delay_below_gaussian_delay(gauss_spec, amg_spec, calibrated):
     for spec in (gauss_spec, amg_spec):
         grid = default_grid(spec)
         w = synth(spec, grid)
-        out = propagate_waveform(w, channel)
+        out = propagate(w, channel)[2]
         t = grid.times()
         delays[spec.kind] = peak_location(t, np.abs(out.samples) ** 2) - peak_location(
             t, np.abs(w.samples) ** 2
@@ -132,12 +109,12 @@ def test_pipeline_linearity(gauss_spec, gauss_grid, calibrated):
     rng = np.random.default_rng(3)
     w2 = Waveform(gauss_grid, rng.standard_normal(gauss_grid.n))
     a, b = 0.3 + 1.1j, -2.5
-    combined = propagate_waveform(
+    combined = propagate(
         Waveform(gauss_grid, a * w1.samples + b * w2.samples), channel
-    )
+    )[2]
     separate = (
-        a * propagate_waveform(w1, channel).samples
-        + b * propagate_waveform(w2, channel).samples
+        a * propagate(w1, channel)[2].samples
+        + b * propagate(w2, channel)[2].samples
     )
     np.testing.assert_allclose(
         combined.samples, separate, rtol=0, atol=1e-12 * np.max(np.abs(separate))
@@ -150,14 +127,39 @@ def test_measured_amplitude_uses_square_root(calibrated):
         deltas_tab,
         np.asarray(calibrated.scale * np.exp(-2 * deltas_tab**2 * calibrated.z
                                              / (deltas_tab**2 + calibrated.gamma_eit**2))),
-        extrapolation_value=0.10,
     )
-    channel = Channel.hybrid(table, calibrated)
+    channel = Channel(calibrated, table)
     deltas = np.linspace(-1.5e6, 1.5e6, 333)
     response = np.asarray(field_response(channel, deltas))
     np.testing.assert_allclose(
         np.abs(response), np.sqrt(np.asarray(transmission_lookup(table, deltas))), rtol=1e-12
     )
+
+
+def _bytes(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def test_channel_response_bits(calibrated, tmp_path):
+    # the analytic and the hybrid (table) channel, pinned bit for bit to the
+    # medium's and the table's own functions, inside and outside the table
+    m = calibrated
+    d = SamplingGrid(n=512, dt=0.2e-6, t_start=-51.2e-6).detunings()
+    expected = amplitude_response(m, d) * np.exp(-1j * phase_response(m, d))
+    assert _bytes(field_response(Channel(m), d)) == _bytes(expected)
+
+    built = MeasuredTransmission(
+        np.linspace(-1e6, 1e6, 41), np.linspace(0.15, 0.55, 41) ** 2
+    )
+    table_csv = tmp_path / "t.csv"
+    write_transmission_csv(table_csv, built)
+    for table in (built, read_transmission_csv(table_csv)):
+        expected = np.sqrt(transmission_lookup(table, d)) * np.exp(-1j * phase_response(m, d))
+        assert _bytes(field_response(Channel(m, table), d)) == _bytes(expected)
+        t = table.transmissions
+        outside = np.abs(d) > 1e6
+        assert outside.sum() > 100
+        assert np.all(transmission_lookup(table, d[outside]) == 0.5 * float(t[0] + t[-1]))
 
 
 def test_sideband_band_delays_match_group_delay(amg_spec, amg_grid, calibrated):
@@ -189,11 +191,11 @@ def test_wrap_warning_on_edge_energy(calibrated):
                      center=grid.t_start + grid.window - 2.5e-6)
     w = synth(late, grid)
     with pytest.warns(EdgeEnergyWarning):
-        propagate_waveform(w, Channel.analytic(calibrated))
+        propagate(w, Channel.analytic(calibrated))
 
 
 def test_channel_type_validation(calibrated):
-    with pytest.raises(ValidationError):
-        Channel(amplitude_source="not a medium", phase_source=None)
-    with pytest.raises(ValidationError):
-        Channel(amplitude_source=calibrated, phase_source=3.14)
+    with pytest.raises(ValidationError, match="medium"):
+        Channel("not a medium")
+    with pytest.raises(ValidationError, match="table"):
+        Channel(calibrated, 3.14)

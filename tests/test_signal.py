@@ -60,6 +60,13 @@ def test_oversized_grid_is_rejected_before_allocating(make, n):
     assert peak < 1 << 20
 
 
+def test_default_grid_non_finite_sample_count_is_validation_error():
+    # 2*8*f_top*window overflows to inf before math.ceil could see it
+    spec = PulseSpec(AMG, 1e300, 1.0, 1e297)
+    with pytest.raises(ValidationError, match=f"grid sample count inf is not finite; the cap is {MAX_GRID_N}"):
+        default_grid(spec)
+
+
 def test_grid_rejects_bad_spacing():
     with pytest.raises(ValidationError):
         SamplingGrid(n=16, dt=0.0)
@@ -229,7 +236,7 @@ def test_synth_even_about_center(gauss_spec, amg_spec):
 
 
 def test_doubling_resolution_keeps_physical_metrics(amg_spec, calibrated):
-    from slowlight import Channel, measure_metrics, propagate_waveform
+    from slowlight import Channel, measure_metrics, propagate
 
     base = default_grid(amg_spec)
     fine = SamplingGrid(n=2 * base.n, dt=base.dt / 2.0, t_start=base.t_start)
@@ -243,8 +250,8 @@ def test_doubling_resolution_keeps_physical_metrics(amg_spec, calibrated):
     p2 = peak_location(fine.times(), i2)
     assert abs(p1 - p2) < base.dt / 10.0
     channel = Channel.analytic(calibrated)
-    d1 = measure_metrics(propagate_waveform(w1, channel), w1).delay
-    d2 = measure_metrics(propagate_waveform(w2, channel), w2).delay
+    d1 = measure_metrics(propagate(w1, channel)[2], w1).delay
+    d2 = measure_metrics(propagate(w2, channel)[2], w2).delay
     assert abs(d1 - d2) < base.dt
 
 
