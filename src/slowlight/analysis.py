@@ -15,8 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .signal import Waveform
-from .spectral import Spectrum, band_extract, dft, fwhm, idft, peak_location
+from .signal import Waveform, _handover
+from .spectral import (
+    Spectrum,
+    _band_slice,
+    band_extract,
+    dft,
+    fwhm,
+    idft,
+    intensity_spectrum,
+    peak_location,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -71,7 +80,7 @@ def recover_waveform(s_out: Spectrum, transmission, cfg: CompensationConfig) -> 
     """
     t = _validated_transmission(transmission, s_out.grid.n)
     divisor = np.sqrt(np.maximum(t, cfg.floor))
-    return idft(Spectrum(s_out.grid, s_out.samples / divisor))
+    return idft(_handover(Spectrum, s_out.grid, s_out.samples / divisor))
 
 
 def export_gain_spectrum(transmission, cfg: CompensationConfig) -> np.ndarray:
@@ -99,6 +108,24 @@ class ComponentDecomposition:
 # a band holding less than this fraction of total spectral energy means the
 # spectrum has no sideband there, i.e. the pulse is not amplitude modulated
 _MIN_SIDEBAND_ENERGY = 1e-6
+
+
+def _require_sidebands(s_in: Spectrum, s_out: Spectrum, bands) -> None:
+    """Reject a spectrum whose left or right band holds less than
+    _MIN_SIDEBAND_ENERGY of its energy."""
+    deltas = s_out.detunings()
+    for label, s in (("input", s_in), ("output", s_out)):
+        power = intensity_spectrum(s)
+        total = float(np.sum(power))
+        if total == 0.0:
+            raise ValidationError(f"{label} spectrum is identically zero")
+        for side in ("left", "right"):
+            frac = float(np.sum(power[_band_slice(deltas, *bands[side])])) / total
+            if frac < _MIN_SIDEBAND_ENERGY:
+                raise ValidationError(
+                    f"{side} sideband of the {label} spectrum carries only "
+                    f"{frac:.2e} of the total energy; not an AMG pulse"
+                )
 
 
 def decompose_components(
@@ -130,17 +157,7 @@ def decompose_components(
             f"the right band's top 3*mod_freq/2 = {top} Hz lies above the "
             f"Nyquist frequency {nyquist} Hz; the sidebands would alias"
         )
-    for label, s in (("input", s_in), ("output", s_out)):
-        total = s.energy()
-        if total == 0.0:
-            raise ValidationError(f"{label} spectrum is identically zero")
-        for side in ("left", "right"):
-            frac = band_extract(s, *bands[side]).energy() / total
-            if frac < _MIN_SIDEBAND_ENERGY:
-                raise ValidationError(
-                    f"{side} sideband of the {label} spectrum carries only "
-                    f"{frac:.2e} of the total energy; not an AMG pulse"
-                )
+    _require_sidebands(s_in, s_out, bands)
 
     reference = idft(band_extract(s_in, *bands["carrier"]))
     carrier = idft(band_extract(s_out, *bands["carrier"]))
@@ -166,8 +183,11 @@ def decompose_components(
 def _shift_waveform(w: Waveform, shift: float) -> Waveform:
     """Translate a waveform by `shift` seconds via the spectral shift theorem."""
     s = dft(w)
-    shifted = s.samples * np.exp(-1j * _TWO_PI * s.detunings() * shift)
-    return idft(Spectrum(w.grid, shifted))
+    shifted = np.multiply(-1j * _TWO_PI, s.detunings())
+    shifted *= shift
+    np.exp(shifted, out=shifted)
+    np.multiply(s.samples, shifted, out=shifted)
+    return idft(_handover(Spectrum, w.grid, shifted))
 
 
 def measure_metrics(out: Waveform, reference: Waveform) -> PulseMetrics:
@@ -179,27 +199,29 @@ def measure_metrics(out: Waveform, reference: Waveform) -> PulseMetrics:
     """
     if out.grid != reference.grid:
         raise ValidationError("output and reference waveforms must share one grid")
+    dt = out.grid.dt
     i_ref = np.abs(reference.samples) ** 2
     i_out = np.abs(out.samples) ** 2
-    ref_energy = reference.energy()
+    ref_energy = float(np.sum(i_ref) * dt)  # reference.energy(), from i_ref
     if ref_energy == 0.0:
         raise ValidationError("reference waveform is identically zero")
 
     t = out.grid.times()
     delay = peak_location(t, i_out) - peak_location(t, i_ref)
-    loss = 1.0 - out.energy() / ref_energy
+    loss = 1.0 - float(np.sum(i_out) * dt) / ref_energy
 
     i_aligned = np.abs(_shift_waveform(out, -delay).samples) ** 2
     peak_aligned = float(np.max(i_aligned))
     if peak_aligned == 0.0:
         raise ValidationError("output waveform is identically zero")
-    norm_out = i_aligned / peak_aligned
-    norm_ref = i_ref / float(np.max(i_ref))
 
-    cumulative = np.cumsum(i_ref) * out.grid.dt
+    cumulative = np.cumsum(i_ref) * dt
     total = cumulative[-1]
     support = (cumulative >= 0.005 * total) & (cumulative <= 0.995 * total)
-    nrmse = float(np.sqrt(np.mean((norm_out[support] - norm_ref[support]) ** 2)))
+    # unit-peak profiles, normalised in place now that i_ref's sums are taken
+    i_aligned /= peak_aligned
+    i_ref /= float(np.max(i_ref))
+    nrmse = float(np.sqrt(np.mean((i_aligned[support] - i_ref[support]) ** 2)))
 
     return PulseMetrics(
         delay=float(delay),

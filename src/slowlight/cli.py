@@ -141,7 +141,12 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     w_in = _load_waveform(args.input)
     s_out = sio.read_spectrum_csv(args.spectrum, w_in.grid)
-    for key, value in decompose(s_out, dft(w_in), args.mod_khz * 1e3, Path(args.out_dir)):
+    traces, rows = decompose(s_out, dft(w_in), args.mod_khz * 1e3)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, trace in traces.items():
+        sio.write_intensity_csv(out_dir / name, trace)
+    for key, value in rows:
         _print_kv(key, value)
     return EXIT_OK
 

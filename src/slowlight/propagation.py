@@ -23,7 +23,7 @@ from .medium import (
     phase_response,
     transmission_lookup,
 )
-from .signal import Waveform
+from .signal import Waveform, _handover
 from .spectral import Spectrum, dft, idft
 
 
@@ -65,7 +65,7 @@ def field_response(ch: Channel, delta) -> np.ndarray:
 
 def propagate_spectrum(s_in: Spectrum, ch: Channel) -> Spectrum:
     """Bin-wise product of the input spectrum with the channel response."""
-    return Spectrum(s_in.grid, s_in.samples * field_response(ch, s_in.detunings()))
+    return _handover(Spectrum, s_in.grid, s_in.samples * field_response(ch, s_in.detunings()))
 
 
 def propagate(w: Waveform, ch: Channel) -> tuple[Spectrum, Spectrum, Waveform]:

@@ -12,8 +12,9 @@ one key.  A relative [medium] transmission_file is read from the scenario
 file's directory.
 
 run_scenario chains the stage functions propagation.propagate, compensate,
-decompose and metric_rows; the CLI subcommands call the same stages, one
-each.
+decompose and metric_rows, which compute but write nothing; it writes the
+artifacts once every stage has run.  The CLI subcommands call the same
+stages, one each.
 """
 
 from __future__ import annotations
@@ -67,15 +68,14 @@ MEDIUM_KEYS = ("gamma_khz", "z", "scale", "peak", "background", "fwhm_khz")
 @dataclass(frozen=True)
 class Scenario:
     """channel: the medium, with the measured table's amplitude if any;
-    compensation_table: the table compensation divides out instead of the
-    model, if any."""
+    measured: compensation divides out channel.table instead of the model."""
 
     name: str
     pulse: PulseSpec
     channel: Channel
     grid: SamplingGrid
     compensation: CompensationConfig
-    compensation_table: MeasuredTransmission | None
+    measured: bool
     do_compensate: bool
     do_decompose: bool
     out_dir: Path
@@ -220,7 +220,7 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
         channel=Channel(medium, transmission),
         grid=grid,
         compensation=compensation,
-        compensation_table=transmission if source == MEASURED else None,
+        measured=source == MEASURED,
         do_compensate=do_compensate,
         do_decompose=do_decompose,
         out_dir=Path(out_dir),
@@ -246,16 +246,16 @@ def compensate(s_out: Spectrum, medium: EitMedium | None,
     )
 
 
-def decompose(s_out: Spectrum, s_in: Spectrum, mod_freq: float, out_dir: Path):
-    """Write each component of s_out as out_dir/component_<label>.csv and
-    return the carrier and sideband delays as (name, value) rows."""
+def decompose(s_out: Spectrum, s_in: Spectrum, mod_freq: float):
+    """The intensity of each component of s_out by its file name,
+    component_<label>.csv, and the carrier and sideband delays as
+    (name, value) rows."""
     parts = decompose_components(s_out, s_in, mod_freq)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for label in ("carrier", "left", "right", "reference"):
-        w = getattr(parts, label)
-        sio.write_intensity_csv(out_dir / f"component_{label}.csv", intensity_of(w))
-    return [(f"{label}_delay_s", getattr(parts, f"{label}_delay"))
+    traces = {f"component_{label}.csv": intensity_of(getattr(parts, label))
+              for label in ("carrier", "left", "right", "reference")}
+    rows = [(f"{label}_delay_s", getattr(parts, f"{label}_delay"))
             for label in ("carrier", "left", "right")]
+    return traces, rows
 
 
 def metric_rows(prefix: str, out: Waveform, reference: Waveform):
@@ -272,12 +272,11 @@ def metric_rows(prefix: str, out: Waveform, reference: Waveform):
 def run_scenario(sc: Scenario) -> dict[str, float]:
     """Run the full pipeline and write every artifact under sc.out_dir.
 
-    Deterministic: identical scenarios produce bit-identical files.  Returns
-    the metrics summary that is also written to metrics.csv.
+    Deterministic: identical scenarios produce bit-identical files.  Every
+    stage runs before the first file is written, so a scenario that a guard
+    rejects writes nothing.  Returns the metrics summary that is also written
+    to metrics.csv.
     """
-    out = sc.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     pulse = synth(sc.pulse, sc.grid)
     s_in, s_out, output = propagate(pulse, sc.channel)
     medium = sc.channel.medium
@@ -287,24 +286,27 @@ def run_scenario(sc: Scenario) -> dict[str, float]:
         ("scale", medium.scale),
     ]
     rows += metric_rows("output_", output, pulse)
+    if sc.do_compensate:
+        table = sc.channel.table if sc.measured else None
+        compensated, recovered, gain = compensate(s_out, medium, table, sc.compensation)
+        rows += metric_rows("recovered_", recovered, pulse)
+    if sc.do_decompose:
+        components, delay_rows = decompose(s_out, s_in, sc.pulse.mod_freq)
+        rows += delay_rows
 
+    out = sc.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     sio.write_waveform_csv(out / "input_pulse.csv", pulse)
     sio.write_spectrum_csv(out / "input_spectrum.csv", s_in)
     sio.write_intensity_csv(out / "output_intensity.csv", intensity_of(output))
     sio.write_spectrum_csv(out / "output_spectrum.csv", s_out)
-
     if sc.do_compensate:
-        compensated, recovered, gain = compensate(
-            s_out, medium, sc.compensation_table, sc.compensation
-        )
-        rows += metric_rows("recovered_", recovered, pulse)
         deltas = s_out.detunings()
         sio.write_intensity_spectrum_csv(out / "compensated_spectrum.csv", deltas, compensated)
         sio.write_intensity_csv(out / "recovered_intensity.csv", intensity_of(recovered))
         sio.write_gain_csv(out / "gain_spectrum.csv", deltas, gain)
-
     if sc.do_decompose:
-        rows += decompose(s_out, s_in, sc.pulse.mod_freq, out)
-
+        for name, trace in components.items():
+            sio.write_intensity_csv(out / name, trace)
     sio.write_metrics_csv(out / "metrics.csv", rows)
     return dict(rows)

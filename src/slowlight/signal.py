@@ -92,6 +92,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _handover(cls, grid: SamplingGrid, samples: np.ndarray):
+    """cls(grid, samples), for Waveform or Spectrum, without the constructor's
+    defensive copy: the caller hands over a complex array of grid.n samples
+    that it has just built and keeps no other reference to.  The array is
+    frozen in place."""
+    assert samples.dtype == np.complex128 and samples.shape == (grid.n,)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "grid", grid)
+    object.__setattr__(obj, "samples", _freeze(samples))
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """Complex field samples e(t) on a sampling grid."""

@@ -10,12 +10,17 @@ physical units,
 A channel phase exp(-i Phi) with dPhi/ddelta > 0 then delays the envelope,
 consistent with the shift theorem.
 
-The phase ramp exp(-+i 2 pi delta_k t_0) over the grid's detunings (the
-forward one times dt) is memoised for the last two (grid, sign) keys, so the
-transforms of one pipeline build it once per direction.  SamplingGrid caps n
-at 2**22, which bounds the memo at two 64 MiB arrays.  idft multiplies
-samples * ramp in that order: complex multiply is not bitwise commutative,
-so the order fixes the output bits.
+The phase ramps over the grid's detunings, inverse = exp(+i 2 pi delta_k t_0)
+and forward = dt * conj(inverse), come from one complex exp and are
+memoised together for the last grid, so the transforms of one pipeline
+build them once.  SamplingGrid caps n at 2**22, which bounds the memo at two
+64 MiB arrays.  Each transform writes into one fresh buffer: dft multiplies
+the forward ramp by the FFT with its halves swapped (the FFT shift), and
+idft writes samples * inverse with swapped halves and runs the inverse FFT
+in place.  Complex multiply is not bitwise commutative, so those operand
+orders fix the output bits.  Library functions hand the arrays they have
+just built to Spectrum and Waveform without a copy; the public constructors
+copy.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .signal import LN2, SamplingGrid, Waveform
+from .signal import LN2, SamplingGrid, Waveform, _handover
 
 _TWO_PI = 2.0 * math.pi
 
@@ -56,36 +61,44 @@ class Spectrum:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.df)
 
 
-def _ramp(grid: SamplingGrid, sign: int) -> np.ndarray:
-    """exp(sign i 2 pi delta t_start) over the grid's detunings, times dt
-    when sign is -1 (the forward transform); read-only and memoised."""
+def _ramps(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, inverse) phase ramps of the grid, read-only and memoised;
+    the forward one carries dt."""
     # grids with t_start 0.0 and -0.0 are equal, but their ramps differ in
     # the sign of zero, so that sign is part of the memo key
-    return _memo_ramp(grid, sign, math.copysign(1.0, grid.t_start))
+    return _memo_ramps(grid, math.copysign(1.0, grid.t_start))
 
 
-@functools.lru_cache(maxsize=2)
-def _memo_ramp(grid: SamplingGrid, sign: int, zero_sign: float) -> np.ndarray:
-    if sign < 0:
-        ramp = grid.dt * np.exp(-1j * _TWO_PI * grid.detunings() * grid.t_start)
-    else:
-        ramp = np.exp(1j * _TWO_PI * grid.detunings() * grid.t_start)
-    ramp.setflags(write=False)
-    return ramp
+@functools.lru_cache(maxsize=1)
+def _memo_ramps(grid: SamplingGrid, zero_sign: float) -> tuple[np.ndarray, np.ndarray]:
+    inverse = np.exp(1j * _TWO_PI * grid.detunings() * grid.t_start)
+    forward = grid.dt * inverse.conj()
+    inverse.setflags(write=False)
+    forward.setflags(write=False)
+    return forward, inverse
 
 
 def dft(w: Waveform) -> Spectrum:
     """Forward transform of a waveform onto its grid's detuning lattice."""
     grid = w.grid
-    raw = np.fft.fftshift(np.fft.fft(w.samples))
-    return Spectrum(grid, _ramp(grid, -1) * raw)
+    forward, h = _ramps(grid)[0], grid.n // 2  # the FFT shift swaps the halves
+    raw = np.fft.fft(w.samples)
+    out = np.empty_like(raw)
+    np.multiply(forward[:h], raw[h:], out=out[:h])
+    np.multiply(forward[h:], raw[:h], out=out[h:])
+    return _handover(Spectrum, grid, out)
 
 
 def idft(s: Spectrum) -> Waveform:
     """Inverse transform; exact inverse of dft up to float rounding."""
     grid = s.grid
-    unphased = s.samples * _ramp(grid, +1)
-    return Waveform(grid, np.fft.ifft(np.fft.ifftshift(unphased)) / grid.dt)
+    inverse, h = _ramps(grid)[1], grid.n // 2
+    out = np.empty_like(s.samples)
+    np.multiply(s.samples[h:], inverse[h:], out=out[:h])
+    np.multiply(s.samples[:h], inverse[:h], out=out[h:])
+    np.fft.ifft(out, out=out)
+    out /= grid.dt
+    return _handover(Waveform, grid, out)
 
 
 def intensity_spectrum(s: Spectrum) -> np.ndarray:
@@ -117,13 +130,19 @@ def amg_spectrum_closed_form(t0: float, mod_depth: float, mod_freq: float, delta
     return i1(d) + ratio * (i1(d - mod_freq) + i1(d + mod_freq))
 
 
+def _band_slice(deltas: np.ndarray, lo: float, hi: float) -> slice:
+    """The bins of the ascending lattice deltas that lie in [lo, hi)."""
+    return slice(*np.searchsorted(deltas, (lo, hi)))
+
+
 def band_extract(s: Spectrum, lo: float, hi: float) -> Spectrum:
     """Copy of the spectrum with every bin outside [lo, hi) zeroed."""
     if not lo < hi:
         raise ValidationError(f"band bounds must satisfy lo < hi, got [{lo}, {hi})")
-    deltas = s.detunings()
-    keep = (deltas >= lo) & (deltas < hi)
-    return Spectrum(s.grid, np.where(keep, s.samples, 0.0))
+    band = _band_slice(s.detunings(), lo, hi)
+    out = np.zeros(s.grid.n, dtype=np.complex128)
+    out[band] = s.samples[band]
+    return _handover(Spectrum, s.grid, out)
 
 
 def fwhm(axis: np.ndarray, values: np.ndarray, baseline: float = 0.0) -> float:

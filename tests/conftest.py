@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from slowlight import (
     AMG,
@@ -8,6 +9,11 @@ from slowlight import (
     calibrate_from_transmission,
     default_grid,
 )
+
+# Tier-1 draws the same hypothesis examples on every run: no random seed, no
+# example database carried between runs, no wall-clock deadline
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 # measured window used throughout: peak 61.5%, background 10%, FWHM 350 kHz
 WINDOW_PEAK = 0.615

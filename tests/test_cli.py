@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, scenario runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from slowlight import MeasuredTransmission, SamplingGrid, Waveform, synth
 from slowlight.cli import main
+from slowlight.scenario import Scenario, load_scenario
 from slowlight.io import (
     read_detuning_series_csv,
     read_timeseries_csv,
@@ -223,6 +225,17 @@ def test_run_measured_source_divides_out_the_table(tmp_path, capsys):
     assert not np.array_equal(model_gain, measured_gain)
 
 
+def test_measured_source_reads_the_channel_table(tmp_path):
+    table = tmp_path / "flat.csv"
+    write_transmission_csv(table, MeasuredTransmission(np.linspace(-3e6, 3e6, 5), np.full(5, 0.5)))
+    medium_extra = f"transmission_file = {table}\n"
+    model = load_scenario(_source_scenario(tmp_path, "model", medium_extra, "model"))
+    measured = load_scenario(_source_scenario(tmp_path, "measured", medium_extra, "measured"))
+    assert len(dataclasses.fields(Scenario)) == 9
+    assert (model.measured, measured.measured) == (False, True)
+    assert model.channel.table is not None and measured.channel.table is not None
+
+
 @pytest.mark.parametrize("source", ["measured", "oracle"])
 def test_run_rejects_compensation_source_without_table(tmp_path, capsys, source):
     assert main(["run", _source_scenario(tmp_path, "bad", "", source)]) == 2
@@ -278,7 +291,7 @@ def test_synth_overflowing_grid_is_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_aliased_decompose_is_validation_error(tmp_path, capsys):
+def _aliased_scenario(tmp_path):
     # fig3b's pulse and medium on a grid whose Nyquist frequency (640 kHz)
     # lies below the right band's top, 3 * 700 kHz / 2
     config = tmp_path / "aliased.ini"
@@ -289,9 +302,19 @@ def test_run_aliased_decompose_is_validation_error(tmp_path, capsys):
         "[run]\ndecompose = yes\n"
         f"[output]\ndir = {tmp_path / 'out'}\n"
     )
-    assert main(["run", str(config)]) == 2
+    return str(config)
+
+
+def test_run_aliased_decompose_is_validation_error(tmp_path, capsys):
+    assert main(["run", _aliased_scenario(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "1050000.0 Hz" in err and "Nyquist frequency 640000.0 Hz" in err
+
+
+def test_run_rejected_by_the_last_stage_writes_no_file(tmp_path, capsys):
+    # decompose is the last stage to run; every artifact waits for it
+    assert main(["run", _aliased_scenario(tmp_path)]) == 2
+    assert list(tmp_path.glob("out/*.csv")) == []
 
 
 def test_run_grid_over_the_cap_is_validation_error(tmp_path, capsys):

@@ -25,7 +25,7 @@ from slowlight import (
     synth,
 )
 
-from slowlight.spectral import _memo_ramp, _ramp
+from slowlight.spectral import _memo_ramps, _ramps
 
 from conftest import MOD_DEPTH, MOD_FREQ, T0
 
@@ -265,19 +265,26 @@ def test_spectrum_length_mismatch():
         Spectrum(grid, np.zeros(8, dtype=complex))
 
 
+def _parent_ramp(grid, sign):
+    """The phase ramp of the two-entry memo, one complex exp per direction."""
+    if sign < 0:
+        return grid.dt * np.exp(-1j * 2.0 * math.pi * grid.detunings() * grid.t_start)
+    return np.exp(1j * 2.0 * math.pi * grid.detunings() * grid.t_start)
+
+
+# The ramps are held in locals, as the memo held them: numpy may compute a
+# product with a temporary operand in the other operand order at large n.
 def _parent_dft(w):
-    """dft before its phase ramp was memoised."""
-    grid = w.grid
+    """dft before it wrote into one buffer: the shifted FFT held in a local."""
+    ramp = _parent_ramp(w.grid, -1)
     raw = np.fft.fftshift(np.fft.fft(w.samples))
-    phase = np.exp(-1j * 2.0 * math.pi * grid.detunings() * grid.t_start)
-    return grid.dt * phase * raw
+    return ramp * raw
 
 
 def _parent_idft(s):
-    """idft before its phase ramp was memoised."""
-    grid = s.grid
-    unphased = s.samples * np.exp(1j * 2.0 * math.pi * grid.detunings() * grid.t_start)
-    return np.fft.ifft(np.fft.ifftshift(unphased)) / grid.dt
+    """idft before it wrote into one buffer."""
+    ramp = _parent_ramp(s.grid, +1)
+    return np.fft.ifft(np.fft.ifftshift(s.samples * ramp)) / s.grid.dt
 
 
 def _memo_grids(rng, n):
@@ -290,10 +297,10 @@ def _memo_grids(rng, n):
     ]
 
 
-@pytest.mark.parametrize("n", [2**k for k in range(3, 14)])
+@pytest.mark.parametrize("n", [2**k for k in range(3, 17)])
 def test_memoised_transforms_match_the_inline_ramp_bitwise(rng, n):
-    _memo_ramp.cache_clear()
-    for grid in _memo_grids(rng, n):  # 0.0 then -0.0: a memo hit on equal grids
+    _memo_ramps.cache_clear()
+    for grid in _memo_grids(rng, n):  # 0.0 then -0.0: equal grids, a memo miss
         # all -0.0: idft tells the ramps of t_start 0.0 and -0.0 apart on it
         for samples in (rng.standard_normal(n) + 1j * rng.standard_normal(n),
                         -np.zeros(n, dtype=complex)):
@@ -301,6 +308,8 @@ def test_memoised_transforms_match_the_inline_ramp_bitwise(rng, n):
             assert dft(w).samples.tobytes() == _parent_dft(w).tobytes()
             s = Spectrum(grid, samples)
             assert idft(s).samples.tobytes() == _parent_idft(s).tobytes()
+        for ramp, sign in zip(_ramps(grid), (-1, +1)):
+            assert ramp.tobytes() == _parent_ramp(grid, sign).tobytes()
 
 
 @pytest.mark.parametrize("n", [16384, 65536])
@@ -308,22 +317,18 @@ def test_memo_hit_equals_miss_at_large_n(rng, n):
     grid = SamplingGrid(n, 1e-7, -0.37 * n * 1e-7)
     w = Waveform(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     s = Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    _memo_ramp.cache_clear()
-    misses = dft(w).samples.tobytes(), idft(s).samples
-    hits = dft(w).samples.tobytes(), idft(s).samples
-    assert _memo_ramp.cache_info().hits == 2
-    assert misses[0] == hits[0] and misses[1].tobytes() == hits[1].tobytes()
-    assert misses[0] == _parent_dft(w).tobytes()
-    # numpy computes the parent's product as ramp * samples here, whose
-    # rounding differs from samples * ramp
-    parent = _parent_idft(s)
-    assert np.max(np.abs(hits[1] - parent)) <= 1e-15 * np.max(np.abs(parent))
+    _memo_ramps.cache_clear()
+    misses = dft(w).samples.tobytes(), idft(s).samples.tobytes()
+    hits = dft(w).samples.tobytes(), idft(s).samples.tobytes()
+    # one entry holds both ramps: the first dft misses, the other three hit
+    assert tuple(_memo_ramps.cache_info())[:2] == (3, 1)
+    assert misses == hits
+    assert misses == (_parent_dft(w).tobytes(), _parent_idft(s).tobytes())
 
 
 def test_ramp_is_read_only():
     grid = SamplingGrid(64, 1e-7, -3.2e-6)
-    for sign in (-1, +1):
-        ramp = _ramp(grid, sign)
+    for ramp in _ramps(grid):
         assert not ramp.flags.writeable
         with pytest.raises(ValueError):
             ramp[0] = 0.0
@@ -331,7 +336,8 @@ def test_ramp_is_read_only():
 
 def test_one_grid_builds_two_ramps(rng):
     w = _random_waveform(rng)
-    _memo_ramp.cache_clear()
+    _memo_ramps.cache_clear()
     for _ in range(3):
         idft(dft(w))
-    assert tuple(_memo_ramp.cache_info())[:3] == (4, 2, 2)
+    # one memo entry, built once, holds the forward and the inverse ramp
+    assert tuple(_memo_ramps.cache_info())[:3] == (5, 1, 1)
