@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .signal import Waveform, _handover
 from .spectral import (
     Spectrum,
@@ -195,7 +195,8 @@ def measure_metrics(out: Waveform, reference: Waveform) -> PulseMetrics:
 
     The shape error is the RMS difference of the two unit-peak intensity
     profiles after shifting the output back by the measured delay, taken over
-    the region holding the central 99% of the reference energy.
+    the region holding the central 99% of the reference energy; a reference
+    so concentrated that the region holds no sample is a NumericError.
     """
     if out.grid != reference.grid:
         raise ValidationError("output and reference waveforms must share one grid")
@@ -218,6 +219,11 @@ def measure_metrics(out: Waveform, reference: Waveform) -> PulseMetrics:
     cumulative = np.cumsum(i_ref) * dt
     total = cumulative[-1]
     support = (cumulative >= 0.005 * total) & (cumulative <= 0.995 * total)
+    if not support.any():
+        raise NumericError(
+            f"one sample holds {float(np.max(i_ref)) / float(np.sum(i_ref)):.2%} of the "
+            "reference energy, so the 0.5%-99.5% energy support of the shape error is empty"
+        )
     # unit-peak profiles, normalised in place now that i_ref's sums are taken
     i_aligned /= peak_aligned
     i_ref /= float(np.max(i_ref))

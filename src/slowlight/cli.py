@@ -4,10 +4,11 @@ Each pipeline subcommand is one stage of scenario.run_scenario: synth,
 propagate, compensate, decompose and metrics parse their options, read their
 input CSV files, call the stage and write what it returns, so a chain of
 subcommands on a scenario's parameters writes the same bytes as
-`slowlight run`.  propagate builds the analytic channel of the medium
-options, or the hybrid one with --transmission-file, and calls
-propagation.propagate.  Exit codes: 0 ok, 2 validation error, 3 numeric
-guard, 4 I/O error.
+`slowlight run`.  Their pulse, grid and medium options are the scenario's
+[pulse], [grid] and [medium] keys, resolved by the same functions.
+propagate builds the analytic channel of the medium options, or the hybrid
+one with --transmission-file, and calls propagation.propagate.  Exit codes:
+0 ok, 2 validation error, 3 numeric guard, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,19 +26,20 @@ from .propagation import Channel, EdgeEnergyWarning, propagate
 from .scenario import (
     BUNDLED_SCENARIOS,
     MEDIUM_KEYS,
+    PULSE_KEYS,
     compensate,
     decompose,
     load_scenario,
     metric_rows,
     pulse_grid,
     resolve_medium,
+    resolve_pulse,
     run_scenario,
 )
 from .signal import (
     AMG,
     GAUSSIAN,
     IntensityTrace,
-    PulseSpec,
     Waveform,
     amplitude_from_intensity,
     intensity_of,
@@ -54,7 +56,7 @@ EXIT_IO = 4
 def _add_medium_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-khz", type=float, help="EIT half-linewidth in kHz")
     p.add_argument("--z", type=float, help="normalized propagation length")
-    p.add_argument("--scale", type=float, default=1.0, help="peak intensity transmission")
+    p.add_argument("--scale", type=float, help="peak intensity transmission")
     p.add_argument("--peak", type=float, help="window peak transmission (calibration)")
     p.add_argument("--background", type=float, help="window background transmission")
     p.add_argument("--fwhm-khz", type=float, help="window FWHM in kHz (calibration)")
@@ -82,22 +84,8 @@ def _print_kv(key: str, value: float) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    t0 = args.t0_us * 1e-6 if args.t0_us is not None else None
-    if args.intensity_fwhm_us is not None:
-        if t0 is not None:
-            raise ValidationError("give either --t0-us or --intensity-fwhm-us, not both")
-        t0 = args.intensity_fwhm_us * 1e-6 / 2.0
-    if t0 is None:
-        raise ValidationError("give --t0-us or --intensity-fwhm-us")
-    spec = PulseSpec(
-        kind=args.kind,
-        t0=t0,
-        mod_depth=args.depth,
-        mod_freq=args.mod_khz * 1e3,
-        center=args.center_us * 1e-6,
-    )
-    window = args.window_us * 1e-6 if args.window_us is not None else None
-    w = synth(spec, pulse_grid(spec, args.n, window))
+    spec = resolve_pulse({key: getattr(args, key) for key in PULSE_KEYS})
+    w = synth(spec, pulse_grid(spec, args.n, args.window_us))
     sio.write_waveform_csv(args.out, w)
     if args.spectrum_out:
         sio.write_spectrum_csv(args.spectrum_out, dft(w))
@@ -179,12 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a probe pulse to CSV")
     p.add_argument("--kind", choices=(GAUSSIAN, AMG), required=True)
-    p.add_argument("--t0-us", type=float, help="Gaussian width parameter in microseconds")
-    p.add_argument("--intensity-fwhm-us", type=float,
-                   help="alternative width: intensity FWHM (= 2*t0) in microseconds")
-    p.add_argument("--depth", type=float, default=0.0, help="modulation depth A")
-    p.add_argument("--mod-khz", type=float, default=0.0, help="modulation frequency in kHz")
-    p.add_argument("--center-us", type=float, default=0.0, help="pulse center in microseconds")
+    p.add_argument("--t0-us", type=float, help="width t0 (half the intensity FWHM) in microseconds")
+    p.add_argument("--depth", type=float, help="modulation depth A (default 0)")
+    p.add_argument("--mod-khz", type=float, help="modulation frequency in kHz (default 0)")
+    p.add_argument("--center-us", type=float, help="pulse center in microseconds (default 0)")
     p.add_argument("--n", type=int, help="grid size override (power of two)")
     p.add_argument("--window-us", type=float, help="grid window override in microseconds")
     p.add_argument("--out", required=True, help="output waveform CSV")
@@ -209,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", required=True, help="output spectrum CSV to compensate")
     _add_medium_args(p)
     p.add_argument("--transmission-file", help="measured transmission CSV")
-    p.add_argument("--floor", type=float, default=1e-3)
+    p.add_argument("--floor", type=float, default=CompensationConfig.floor)
     p.add_argument("--time-ref", help="waveform CSV fixing the time origin")
     p.add_argument("--out", required=True, help="recovered intensity CSV")
     p.add_argument("--compensated-spectrum-out")

@@ -7,9 +7,10 @@ opening the file, since the readers reject them too.  Rows are formatted and
 written in blocks of BLOCK_ROWS, one column at a time.  The first column of
 every file is a time or detuning axis; its formatted text is memoised for the
 last two distinct axes, so the artifacts of one pipeline format each axis
-once.  Readers parse block by block into a float64 array, reject non-finite
-cells, validate uniform axis spacing to 1e-6 relative and snap the spacing to
-the exact float the writer used when one reproduces every axis value.
+once.  Readers take ASCII text only, parse block by block into a float64
+array, reject non-finite cells, validate uniform axis spacing to 1e-6
+relative and snap the spacing to the exact float the writer used when one
+reproduces every axis value.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .spectral import Spectrum
 
 FIELD_HEADER = "time_s,field"
 INTENSITY_HEADER = "time_s,intensity"
-# generic header accepted on input and read as field amplitude
-GENERIC_TIMESERIES_HEADER = "time_s,value"
 SPECTRUM_HEADER = "detuning_hz,re,im"
 INTENSITY_SPECTRUM_HEADER = "detuning_hz,intensity"
 TRANSMISSION_HEADER = "detuning_hz,transmission"
@@ -79,14 +78,24 @@ def _write_csv(path, header: str, columns) -> None:
 
 def write_metrics_csv(path, rows) -> None:
     """Write (name, value) pairs as metric,value rows."""
+    rows = [(key, float(value)) for key, value in rows]
+    # 0.0 stands in for each name, so a value keeps its file column number
+    _reject_non_finite(path, np.array([(0.0, value) for _, value in rows]).reshape(-1, 2))
     lines = [METRICS_HEADER]
-    lines.extend(f"{key},{float(value)!r}" for key, value in rows)
+    lines.extend(f"{key},{value!r}" for key, value in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def read_ascii_text(path) -> str:
+    """The text of an ASCII file; any other byte is a ValidationError naming the file."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not ASCII text: byte {exc.object[exc.start]:#04x}") from None
+
+
 def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    lines = read_ascii_text(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].strip()
@@ -164,14 +173,12 @@ def write_intensity_csv(path, trace: IntensityTrace) -> None:
 def read_timeseries_csv(path) -> Waveform | IntensityTrace:
     """Read a time_s,field file as a Waveform or time_s,intensity as an IntensityTrace.
 
-    The generic header time_s,value is also accepted and read as field
-    amplitude (externally recorded traces follow the E = sqrt(I) convention).
+    A recorded trace is an intensity: label it time_s,intensity, and take
+    its field as E = sqrt(I) with signal.amplitude_from_intensity.
     """
-    header, data = _read_csv(
-        path, {FIELD_HEADER, INTENSITY_HEADER, GENERIC_TIMESERIES_HEADER}
-    )
+    header, data = _read_csv(path, {FIELD_HEADER, INTENSITY_HEADER})
     grid = _grid_from_times(data[:, 0], path)
-    if header != INTENSITY_HEADER:
+    if header == FIELD_HEADER:
         return Waveform(grid, data[:, 1])
     try:
         return IntensityTrace(grid, data[:, 1])

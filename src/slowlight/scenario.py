@@ -8,8 +8,9 @@ directory and can be referenced by bare name.
 
 load_scenario parses each section inside _section, the one place that adds
 the `file: [section]` prefix to a ValidationError or OSError; _get parses
-one key.  A relative [medium] transmission_file is read from the scenario
-file's directory.
+one key.  resolve_pulse, resolve_medium and pulse_grid resolve the [pulse],
+[medium] and [grid] keys, which are also the CLI's options, in SI units.  A
+relative [medium] transmission_file is read from the scenario file's directory.
 
 run_scenario chains the stage functions propagation.propagate, compensate,
 decompose and metric_rows, which compute but write nothing; it writes the
@@ -45,7 +46,6 @@ from .medium import (
 from .propagation import Channel, propagate
 from .signal import (
     AMG,
-    GAUSSIAN,
     PulseSpec,
     SamplingGrid,
     Waveform,
@@ -61,6 +61,8 @@ BUNDLED_SCENARIOS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4")
 MODEL = "model"
 MEASURED = "measured"
 
+# the [pulse] keys, also synth's pulse options; see resolve_pulse
+PULSE_KEYS = ("kind", "t0_us", "depth", "mod_khz", "center_us")
 # the [medium] keys, also the CLI's medium options; see resolve_medium
 MEDIUM_KEYS = ("gamma_khz", "z", "scale", "peak", "background", "fwhm_khz")
 
@@ -130,12 +132,31 @@ def _resolve_scenario_path(name_or_path: str) -> tuple[str, str]:
             f"no scenario named {name_or_path!r}; bundled scenarios are "
             f"{', '.join(BUNDLED_SCENARIOS)}"
         )
-    return path.stem, path.read_text(encoding="ascii")
+    return path.stem, sio.read_ascii_text(name_or_path)
+
+
+def resolve_pulse(values) -> PulseSpec:
+    """The pulse of kind and t0_us, modulated by depth at mod_khz and
+    centred at center_us (each 0 when not given).
+
+    values maps PULSE_KEYS to values; a key mapped to None is not given.
+    """
+    v = {key: value for key, value in values.items() if value is not None}
+    for key in ("kind", "t0_us"):
+        if key not in v:
+            raise ValidationError(f"{key}: missing required key")
+    return PulseSpec(
+        kind=v["kind"].lower(),
+        t0=v["t0_us"] * 1e-6,
+        mod_depth=v.get("depth", 0.0),
+        mod_freq=v.get("mod_khz", 0.0) * 1e3,
+        center=v.get("center_us", 0.0) * 1e-6,
+    )
 
 
 def resolve_medium(values) -> EitMedium:
-    """The medium of gamma_khz, z and scale (default 1), or else the one
-    calibrated from peak, background and fwhm_khz.
+    """The medium of gamma_khz, z and scale (EitMedium's default when not
+    given), or else the one calibrated from peak, background and fwhm_khz.
 
     values maps MEDIUM_KEYS to numbers; a key mapped to None is not given.
     """
@@ -143,23 +164,25 @@ def resolve_medium(values) -> EitMedium:
     if "gamma_khz" in v:
         if "z" not in v:
             raise ValidationError("gamma_khz needs z")
-        return EitMedium(v["gamma_khz"] * 1e3, v["z"], v.get("scale", 1.0))
+        return EitMedium(v["gamma_khz"] * 1e3, v["z"], v.get("scale", EitMedium.scale))
     if not {"peak", "background", "fwhm_khz"} <= v.keys():
         raise ValidationError("give gamma_khz and z, or peak, background and fwhm_khz")
     return calibrate_from_transmission(v["peak"], v["background"], v["fwhm_khz"] * 1e3)
 
 
-def pulse_grid(spec: PulseSpec, n: int | None, window: float | None) -> SamplingGrid:
-    """default_grid(spec), or n samples over `window` seconds centred on the pulse.
+def pulse_grid(spec: PulseSpec, n: int | None, window_us: float | None) -> SamplingGrid:
+    """default_grid(spec), or n samples over window_us microseconds centred
+    on the pulse: the [grid] keys, also synth's --n and --window-us.
 
-    A grid override gives both n and window, or neither.
+    A grid override gives both n and window_us, or neither.
     """
-    if n is None and window is None:
+    if n is None and window_us is None:
         return default_grid(spec)
-    if n is None or window is None:
-        raise ValidationError("a grid override needs both n and window")
+    if n is None or window_us is None:
+        raise ValidationError("a grid override needs both n and window_us")
     if n == 0:  # SamplingGrid rejects it, but window / n would raise first
         raise ValidationError("grid size must be a power of two >= 8, got 0")
+    window = window_us * 1e-6
     return SamplingGrid(n=n, dt=window / n, t_start=spec.center - window / 2.0)
 
 
@@ -173,16 +196,8 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
         raise ValidationError(f"{origin}: {exc}") from exc
 
     with _section(parser, origin, "pulse", required=True) as sec:
-        kind = _get(sec, "kind").lower()
-        if kind not in (GAUSSIAN, AMG):
-            raise ValidationError(f"kind: must be gaussian or amg, got {kind!r}")
-        pulse = PulseSpec(
-            kind=kind,
-            t0=_get(sec, "t0_us", float) * 1e-6,
-            mod_depth=_get(sec, "depth", float, 0.0),
-            mod_freq=_get(sec, "mod_khz", float, 0.0) * 1e3,
-            center=_get(sec, "center_us", float, 0.0) * 1e-6,
-        )
+        pulse = resolve_pulse({key: _get(sec, key, str if key == "kind" else float, None)
+                               for key in PULSE_KEYS})
 
     with _section(parser, origin, "medium", required=True) as sec:
         medium = resolve_medium({key: _get(sec, key, float, None) for key in MEDIUM_KEYS})
@@ -193,9 +208,7 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
         )
 
     with _section(parser, origin, "grid", required=False) as sec:
-        n = _get(sec, "n", int, None)
-        window = _get(sec, "window_us", float, None)
-        grid = pulse_grid(pulse, n, None if window is None else window * 1e-6)
+        grid = pulse_grid(pulse, _get(sec, "n", int, None), _get(sec, "window_us", float, None))
 
     with _section(parser, origin, "compensation", required=False) as sec:
         source = _get(sec, "source", str, MODEL).lower()
@@ -203,7 +216,7 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
             raise ValidationError(f"source: must be {MODEL!r} or {MEASURED!r}, got {source!r}")
         if source == MEASURED and transmission is None:
             raise ValidationError("source: 'measured' needs a [medium] transmission_file")
-        compensation = CompensationConfig(floor=_get(sec, "floor", float, 1e-3))
+        compensation = CompensationConfig(floor=_get(sec, "floor", float, CompensationConfig.floor))
 
     with _section(parser, origin, "run", required=False) as sec:
         do_compensate = _get(sec, "compensate", bool, True)

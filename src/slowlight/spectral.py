@@ -145,19 +145,19 @@ def band_extract(s: Spectrum, lo: float, hi: float) -> Spectrum:
     return _handover(Spectrum, s.grid, out)
 
 
-def fwhm(axis: np.ndarray, values: np.ndarray, baseline: float = 0.0) -> float:
+def fwhm(axis: np.ndarray, values: np.ndarray) -> float:
     """Full width at half maximum of a peaked curve over an ordered axis.
 
-    The half level is (peak + baseline)/2, so curves sitting on a pedestal
-    are measured above it.  Crossings adjacent to the global maximum are
-    located by linear interpolation between bracketing samples.
+    The half level is half the peak, measured from zero.  Crossings adjacent
+    to the global maximum are located by linear interpolation between
+    bracketing samples.
     """
     axis = np.asarray(axis, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if axis.shape != values.shape or axis.ndim != 1 or axis.size < 3:
         raise ValidationError("fwhm needs matching 1-d axis/values with >= 3 samples")
     i_peak = int(np.argmax(values))
-    half = 0.5 * (values[i_peak] + baseline)
+    half = 0.5 * values[i_peak]
 
     def crossing(step: int) -> float:
         i = i_peak

@@ -10,6 +10,7 @@ from slowlight import (
     Channel,
     CompensationConfig,
     EitMedium,
+    NumericError,
     PulseSpec,
     SamplingGrid,
     Spectrum,
@@ -224,6 +225,15 @@ def test_metrics_grid_mismatch(gauss_spec, gauss_grid):
     other = SamplingGrid(n=gauss_grid.n, dt=gauss_grid.dt, t_start=0.0)
     with pytest.raises(ValidationError):
         measure_metrics(w, Waveform(other, w.samples))
+
+
+def test_metrics_reject_a_reference_with_no_energy_support():
+    # one sample holds all the energy: no sample lies within 0.5%-99.5% of it
+    samples = np.zeros(64)
+    samples[32] = 1.0
+    spike = Waveform(SamplingGrid(n=64, dt=1e-7), samples)
+    with pytest.raises(NumericError, match="one sample holds 100.00% of the reference energy"):
+        measure_metrics(spike, spike)
 
 
 def test_gain_trivial_values():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from slowlight import MeasuredTransmission, SamplingGrid, Waveform, synth
-from slowlight.cli import main
-from slowlight.scenario import Scenario, load_scenario
+from slowlight.cli import build_parser, main
+from slowlight.scenario import MEDIUM_KEYS, PULSE_KEYS, Scenario, load_scenario, run_scenario
 from slowlight.io import (
     read_detuning_series_csv,
     read_timeseries_csv,
@@ -58,20 +58,45 @@ def test_synth_amg_has_modulation_zeros(tmp_path):
         assert abs(trough - target) <= w.grid.dt
 
 
-def test_synth_accepts_intensity_fwhm(tmp_path, capsys):
-    out = tmp_path / "g.csv"
-    assert main(["synth", "--kind", "gaussian", "--intensity-fwhm-us", "13",
-                 "--out", str(out)]) == 0
-    w = read_timeseries_csv(out)
-    # same pulse as --t0-us 6.5
-    out2 = tmp_path / "g2.csv"
-    assert main(["synth", "--kind", "gaussian", "--t0-us", "6.5",
-                 "--out", str(out2)]) == 0
-    assert out.read_bytes() == out2.read_bytes()
-
-
 def test_synth_needs_a_width(capsys):
     assert main(["synth", "--kind", "gaussian", "--out", "x.csv"]) == 2
+
+
+@pytest.mark.parametrize("command, keys, required", [
+    ("synth", (*PULSE_KEYS, "n", "window_us"), ["--out", "x.csv"]),  # [pulse] and [grid]
+    ("propagate", MEDIUM_KEYS, ["--input", "x.csv", "--out", "y.csv"]),
+    ("compensate", MEDIUM_KEYS, ["--spectrum", "x.csv", "--out", "y.csv"]),
+])
+def test_options_are_the_scenario_keys(command, keys, required):
+    argv = [command, *required]
+    for key in keys:
+        argv += ["--" + key.replace("_", "-"), "amg" if key == "kind" else "8"]
+    args = build_parser().parse_args(argv)
+    for key in keys:
+        assert getattr(args, key) == ("amg" if key == "kind" else 8), key
+    # an absent option is None, so the resolver fills it in as for an absent key
+    bare = [command, *required] + (["--kind", "amg"] if command == "synth" else [])
+    args = build_parser().parse_args(bare)
+    assert [key for key in keys if key != "kind" and getattr(args, key) is not None] == []
+
+
+def test_synth_writes_the_scenario_pulse_bytes(tmp_path):
+    # every pulse and grid key off its default
+    config = tmp_path / "pulse.ini"
+    config.write_text(
+        "[pulse]\nkind = amg\nt0_us = 6.5\ndepth = 0.6\nmod_khz = 900\ncenter_us = 3\n"
+        "[medium]\npeak = 0.615\nbackground = 0.10\nfwhm_khz = 350\n"
+        "[grid]\nn = 2048\nwindow_us = 120\n"
+        "[run]\ncompensate = no\ndecompose = no\n"
+        f"[output]\ndir = {tmp_path / 'scenario'}\n"
+    )
+    run_scenario(load_scenario(str(config)))
+    assert main(["synth", "--kind", "amg", "--t0-us", "6.5", "--depth", "0.6",
+                 "--mod-khz", "900", "--center-us", "3", "--n", "2048", "--window-us", "120",
+                 "--out", str(tmp_path / "pulse.csv"),
+                 "--spectrum-out", str(tmp_path / "spectrum.csv")]) == 0
+    for ours, theirs in (("pulse.csv", "input_pulse.csv"), ("spectrum.csv", "input_spectrum.csv")):
+        assert (tmp_path / ours).read_bytes() == (tmp_path / "scenario" / theirs).read_bytes()
 
 
 def test_metrics_on_identical_files(tmp_path, capsys, gauss_spec):
@@ -169,6 +194,25 @@ def test_run_malformed_config_names_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error[validation]" in err
     assert "pulse" in err and "depth" in err
+
+
+def test_metrics_non_ascii_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"time_s,intensity\n0.0,1.0\n1e-6,2.0\n2e-6,\xb5\n")
+    assert main(["metrics", "--out", str(path), "--in", str(path)]) == 2
+    assert f"error[validation]: {path}: not ASCII text: byte 0xb5" in capsys.readouterr().err
+
+
+def test_run_non_ascii_scenario_is_validation_error(tmp_path, capsys):
+    config = tmp_path / "micro.ini"
+    config.write_text(
+        "[pulse]\nkind = gaussian\n; 6.5 \u00b5s\nt0_us = 6.5\n"
+        "[medium]\ngamma_khz = 268.2\nz = 0.9083\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+        encoding="latin-1",
+    )
+    assert main(["run", str(config)]) == 2
+    assert f"error[validation]: {config}: not ASCII text: byte 0xb5" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):

@@ -22,6 +22,7 @@ from slowlight.io import (
     write_gain_csv,
     write_intensity_csv,
     write_intensity_spectrum_csv,
+    write_metrics_csv,
     write_spectrum_csv,
     write_transmission_csv,
     write_waveform_csv,
@@ -120,18 +121,6 @@ def test_rejects_wrong_header(tmp_path):
         read_timeseries_csv(path)
 
 
-def test_generic_value_header_reads_as_field(tmp_path):
-    grid = SamplingGrid(n=8, dt=1e-6)
-    lines = ["time_s,value"] + [
-        f"{float(t)!r},{float(v)!r}" for t, v in zip(grid.times(), [0, 1, 2, 3, 2, 1, 0, 0])
-    ]
-    path = tmp_path / "generic.csv"
-    path.write_text("\n".join(lines) + "\n")
-    loaded = read_timeseries_csv(path)
-    assert isinstance(loaded, Waveform)
-    np.testing.assert_array_equal(loaded.samples.real, [0, 1, 2, 3, 2, 1, 0, 0])
-
-
 def test_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,field\n0.0,1.0\n1e-6,oops\n")
@@ -193,6 +182,14 @@ def test_writer_rejects_non_finite_before_opening(tmp_path, bad):
     with pytest.raises(ValidationError) as info:
         write_gain_csv(path, np.array([-100.0, 0.0, 100.0, 200.0]), gain)
     assert f"{path}: non-finite value {bad} in data row 3, column 2" in str(info.value)
+    assert not path.exists()
+
+
+def test_metrics_writer_rejects_non_finite_before_opening(tmp_path):
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(ValidationError) as info:
+        write_metrics_csv(path, [("delay_s", 1e-6), ("nrmse", np.nan)])
+    assert f"{path}: non-finite value nan in data row 2, column 2" in str(info.value)
     assert not path.exists()
 
 

@@ -47,7 +47,7 @@ def test_grid_size_cap():
 
 @pytest.mark.parametrize("make, n", [
     (lambda: default_grid(PulseSpec(AMG, 1e-3, 1.0, 1e9)), 2**30),
-    (lambda: pulse_grid(PulseSpec(GAUSSIAN, 1e-6), 2**40, 1e-3), 2**40),
+    (lambda: pulse_grid(PulseSpec(GAUSSIAN, 1e-6), 2**40, 1e3), 2**40),
 ], ids=["default_grid", "pulse_grid"])
 def test_oversized_grid_is_rejected_before_allocating(make, n):
     tracemalloc.start()

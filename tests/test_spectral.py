@@ -20,7 +20,6 @@ from slowlight import (
     fwhm,
     idft,
     intensity_spectrum,
-    intensity_transmission,
     peak_location,
     synth,
 )
@@ -220,14 +219,6 @@ def test_fwhm_sampled_gaussian_intensity(gauss_spec, gauss_grid):
     w = synth(gauss_spec, gauss_grid)
     measured = fwhm(gauss_grid.times(), np.abs(w.samples) ** 2)
     assert abs(measured - 2.0 * T0) < gauss_grid.dt
-
-
-def test_fwhm_with_pedestal_baseline(calibrated):
-    deltas = np.linspace(-2e6, 2e6, 2048)
-    curve = np.asarray(intensity_transmission(calibrated, deltas))
-    measured = fwhm(deltas, curve, baseline=0.10)
-    bin_width = deltas[1] - deltas[0]
-    assert abs(measured - 350e3) < bin_width
 
 
 def test_fwhm_truncated_curve_raises():
