@@ -53,9 +53,10 @@ class PulseMetrics:
     fwhm_time: float
 
 
-def _validated_transmission(transmission, n: int) -> np.ndarray:
+def _validated_transmission(transmission, n: int | None = None) -> np.ndarray:
+    """transmission as floats in [0, 1], of shape (n,) when n is given."""
     t = np.asarray(transmission, dtype=np.float64)
-    if t.shape != (n,):
+    if n is not None and t.shape != (n,):
         raise ValidationError(f"transmission has shape {t.shape}, expected ({n},)")
     if not np.all((t >= 0) & (t <= 1)):
         raise ValidationError("per-bin transmission must lie in [0, 1]")
@@ -85,10 +86,7 @@ def recover_waveform(s_out: Spectrum, transmission, cfg: CompensationConfig) -> 
 
 def export_gain_spectrum(transmission, cfg: CompensationConfig) -> np.ndarray:
     """Per-bin intensity gain 1/max(transmission, floor) an amplifier would need."""
-    t = np.asarray(transmission, dtype=np.float64)
-    if not np.all((t >= 0) & (t <= 1)):
-        raise ValidationError("per-bin transmission must lie in [0, 1]")
-    return 1.0 / np.maximum(t, cfg.floor)
+    return 1.0 / np.maximum(_validated_transmission(transmission), cfg.floor)
 
 
 @dataclass(frozen=True, eq=False)

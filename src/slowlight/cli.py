@@ -8,7 +8,7 @@ subcommands on a scenario's parameters writes the same bytes as
 [pulse], [grid] and [medium] keys, resolved by the same functions.
 propagate builds the analytic channel of the medium options, or the hybrid
 one with --transmission-file, and calls propagation.propagate.  Exit codes:
-0 ok, 2 validation error, 3 numeric guard, 4 I/O error.
+0 ok, 2 validation error (argparse's included), 3 numeric guard, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .scenario import (
     run_scenario,
 )
 from .signal import (
-    AMG,
-    GAUSSIAN,
     IntensityTrace,
     Waveform,
     amplitude_from_intensity,
@@ -158,15 +156,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main's one error line, not usage and SystemExit
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slowlight",
         description="Spectral-domain slow-light simulator and compensation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a probe pulse to CSV")
-    p.add_argument("--kind", choices=(GAUSSIAN, AMG), required=True)
+    p.add_argument("--kind", help="pulse kind, gaussian or amg (any case)")
     p.add_argument("--t0-us", type=float, help="width t0 (half the intensity FWHM) in microseconds")
     p.add_argument("--depth", type=float, help="modulation depth A (default 0)")
     p.add_argument("--mod-khz", type=float, help="modulation frequency in kHz (default 0)")
@@ -224,20 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             # a wrapped pulse invalidates results; fail loudly from the CLI
             warnings.simplefilter("error", EdgeEnergyWarning)
-            try:
-                return args.func(args)
-            except EdgeEnergyWarning as warning:
-                raise NumericError(str(warning)) from warning
+            return args.func(args)
     except ValidationError as exc:
         print(f"slowlight: error[validation]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericError as exc:
+    except (NumericError, EdgeEnergyWarning) as exc:
         print(f"slowlight: error[numeric]: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

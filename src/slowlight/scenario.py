@@ -7,10 +7,12 @@ kilohertz straight.  Bundled scenarios live in the package's scenarios/
 directory and can be referenced by bare name.
 
 load_scenario parses each section inside _section, the one place that adds
-the `file: [section]` prefix to a ValidationError or OSError; _get parses
-one key.  resolve_pulse, resolve_medium and pulse_grid resolve the [pulse],
-[medium] and [grid] keys, which are also the CLI's options, in SI units.  A
-relative [medium] transmission_file is read from the scenario file's directory.
+the `file: [section]` prefix to a ValidationError or OSError; _get takes
+and parses one key.  A key that no _get takes, and a section that no
+_section opens, is rejected as unknown once every known one has been read.
+resolve_pulse, resolve_medium and pulse_grid resolve the [pulse], [medium]
+and [grid] keys, which are also the CLI's options, in SI units.  A relative
+[medium] transmission_file is read from the scenario file's directory.
 
 run_scenario chains the stage functions propagation.propagate, compensate,
 decompose and metric_rows, which compute but write nothing; it writes the
@@ -65,6 +67,9 @@ MEASURED = "measured"
 PULSE_KEYS = ("kind", "t0_us", "depth", "mod_khz", "center_us")
 # the [medium] keys, also the CLI's medium options; see resolve_medium
 MEDIUM_KEYS = ("gamma_khz", "z", "scale", "peak", "background", "fwhm_khz")
+_CALIBRATION_KEYS = ("peak", "background", "fwhm_khz")
+# the sections load_scenario reads; any other section is unknown
+_SECTIONS = ("pulse", "medium", "grid", "compensation", "run", "output")
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,13 @@ _EXPECTED = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
 @contextmanager
-def _section(parser: configparser.ConfigParser, origin: str, name: str, required: bool):
-    """Yield section `name` ({} if absent and optional); prefix any
-    ValidationError or OSError raised in the block with `origin: [name]`."""
+def _section(unread: dict, origin: str, name: str, required: bool):
+    """Yield section `name` of unread, the dict of keys _get has not yet
+    taken ({} if absent and optional); prefix any ValidationError or OSError
+    raised in the block with `origin: [name]`."""
     try:
-        if parser.has_section(name):
-            yield parser[name]
+        if name in unread:
+            yield unread[name]
         elif required:
             raise ValidationError("missing required section")
         else:
@@ -102,17 +108,17 @@ def _section(parser: configparser.ConfigParser, origin: str, name: str, required
         raise type(exc)(f"{origin}: [{name}] {exc}") from exc
 
 
-def _get(section, key: str, parse=str, fallback=_REQUIRED):
-    """section[key] parsed as str, float, int or bool; fallback when absent.
+def _get(section: dict, key: str, parse=str, fallback=_REQUIRED):
+    """section[key], taken out of section and parsed as str, float, int or
+    bool; fallback when absent.
 
-    section is a configparser section, or {} for an absent optional one.
     Booleans take configparser's spellings (1/yes/true/on, 0/no/false/off).
     """
     if key not in section:
         if fallback is _REQUIRED:
             raise ValidationError(f"{key}: missing required key")
         return fallback
-    value = section[key].strip()
+    value = section.pop(key).strip()
     try:
         if parse is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
@@ -157,16 +163,25 @@ def resolve_pulse(values) -> PulseSpec:
 def resolve_medium(values) -> EitMedium:
     """The medium of gamma_khz, z and scale (EitMedium's default when not
     given), or else the one calibrated from peak, background and fwhm_khz.
+    A key of the other parametrisation beside them is an error.
 
     values maps MEDIUM_KEYS to numbers; a key mapped to None is not given.
     """
     v = {key: value for key, value in values.items() if value is not None}
+
+    def reject_beside(used: str, keys) -> None:
+        unused = [key for key in keys if key in v]
+        if unused:
+            raise ValidationError(f"{', '.join(unused)}: not used beside {used}")
+
     if "gamma_khz" in v:
+        reject_beside("gamma_khz", _CALIBRATION_KEYS)
         if "z" not in v:
             raise ValidationError("gamma_khz needs z")
         return EitMedium(v["gamma_khz"] * 1e3, v["z"], v.get("scale", EitMedium.scale))
-    if not {"peak", "background", "fwhm_khz"} <= v.keys():
+    if not set(_CALIBRATION_KEYS) <= v.keys():
         raise ValidationError("give gamma_khz and z, or peak, background and fwhm_khz")
+    reject_beside("peak, background and fwhm_khz", ("z", "scale"))
     return calibrate_from_transmission(v["peak"], v["background"], v["fwhm_khz"] * 1e3)
 
 
@@ -192,14 +207,15 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=origin)
+        unread = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ValidationError(f"{origin}: {exc}") from exc
 
-    with _section(parser, origin, "pulse", required=True) as sec:
+    with _section(unread, origin, "pulse", required=True) as sec:
         pulse = resolve_pulse({key: _get(sec, key, str if key == "kind" else float, None)
                                for key in PULSE_KEYS})
 
-    with _section(parser, origin, "medium", required=True) as sec:
+    with _section(unread, origin, "medium", required=True) as sec:
         medium = resolve_medium({key: _get(sec, key, float, None) for key in MEDIUM_KEYS})
         table_path = _get(sec, "transmission_file", str, None)
         # a bundled name has no directory part: its tables resolve against "."
@@ -207,10 +223,10 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
             Path(origin).parent / table_path
         )
 
-    with _section(parser, origin, "grid", required=False) as sec:
+    with _section(unread, origin, "grid", required=False) as sec:
         grid = pulse_grid(pulse, _get(sec, "n", int, None), _get(sec, "window_us", float, None))
 
-    with _section(parser, origin, "compensation", required=False) as sec:
+    with _section(unread, origin, "compensation", required=False) as sec:
         source = _get(sec, "source", str, MODEL).lower()
         if source not in (MODEL, MEASURED):
             raise ValidationError(f"source: must be {MODEL!r} or {MEASURED!r}, got {source!r}")
@@ -218,15 +234,21 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
             raise ValidationError("source: 'measured' needs a [medium] transmission_file")
         compensation = CompensationConfig(floor=_get(sec, "floor", float, CompensationConfig.floor))
 
-    with _section(parser, origin, "run", required=False) as sec:
+    with _section(unread, origin, "run", required=False) as sec:
         do_compensate = _get(sec, "compensate", bool, True)
         do_decompose = _get(sec, "decompose", bool, pulse.kind == AMG)
         if do_decompose and pulse.kind != AMG:
             raise ValidationError("decompose: only AMG pulses decompose")
 
-    if out_dir is None:
-        with _section(parser, origin, "output", required=True) as sec:
-            out_dir = _get(sec, "dir")
+    with _section(unread, origin, "output", required=out_dir is None) as sec:
+        # taken even when out_dir overrides it, else it would be left as unknown
+        file_dir = _get(sec, "dir", str, _REQUIRED if out_dir is None else None)
+
+    for section, keys in unread.items():
+        if section not in _SECTIONS:
+            raise ValidationError(f"{origin}: [{section}] unknown section")
+        if keys:
+            raise ValidationError(f"{origin}: [{section}] {', '.join(keys)}: unknown key")
     return Scenario(
         name=name,
         pulse=pulse,
@@ -236,7 +258,7 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
         measured=source == MEASURED,
         do_compensate=do_compensate,
         do_decompose=do_decompose,
-        out_dir=Path(out_dir),
+        out_dir=Path(file_dir if out_dir is None else out_dir),
     )
 
 

@@ -92,6 +92,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _own_samples(obj, dtype, what: str) -> np.ndarray:
+    """Set obj.samples to a frozen dtype copy of itself, after checking that
+    it holds obj.grid.n values; `what` formats its shape for the error."""
+    arr = np.array(obj.samples, dtype=dtype)
+    if arr.shape != (obj.grid.n,):
+        raise ValidationError(f"{what.format(arr.shape)}, grid expects ({obj.grid.n},)")
+    object.__setattr__(obj, "samples", _freeze(arr))
+    return arr
+
+
 def _handover(cls, grid: SamplingGrid, samples: np.ndarray):
     """cls(grid, samples), for Waveform or Spectrum, without the constructor's
     defensive copy: the caller hands over a complex array of grid.n samples
@@ -112,12 +122,7 @@ class Waveform:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.complex128)
-        if arr.shape != (self.grid.n,):
-            raise ValidationError(
-                f"waveform has {arr.shape} samples, grid expects ({self.grid.n},)"
-            )
-        object.__setattr__(self, "samples", _freeze(arr))
+        _own_samples(self, np.complex128, "waveform has {} samples")
 
     def energy(self) -> float:
         """Sum of |e|^2 * dt over the window."""
@@ -132,14 +137,9 @@ class IntensityTrace:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.float64)
-        if arr.shape != (self.grid.n,):
-            raise ValidationError(
-                f"intensity trace has {arr.shape} samples, grid expects ({self.grid.n},)"
-            )
+        arr = _own_samples(self, np.float64, "intensity trace has {} samples")
         if np.any(arr < 0):
             raise ValidationError("intensity samples must be nonnegative")
-        object.__setattr__(self, "samples", _freeze(arr))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .signal import LN2, SamplingGrid, Waveform, _handover
+from .signal import LN2, SamplingGrid, Waveform, _handover, _own_samples
 
 _TWO_PI = 2.0 * math.pi
 
@@ -45,13 +45,7 @@ class Spectrum:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.complex128)
-        if arr.shape != (self.grid.n,):
-            raise ValidationError(
-                f"spectrum has {arr.shape} bins, grid expects ({self.grid.n},)"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        _own_samples(self, np.complex128, "spectrum has {} bins")
 
     def detunings(self) -> np.ndarray:
         return self.grid.detunings()

@@ -8,7 +8,15 @@ import pytest
 
 from slowlight import MeasuredTransmission, SamplingGrid, Waveform, synth
 from slowlight.cli import build_parser, main
-from slowlight.scenario import MEDIUM_KEYS, PULSE_KEYS, Scenario, load_scenario, run_scenario
+from slowlight.errors import ValidationError
+from slowlight.scenario import (
+    MEDIUM_KEYS,
+    PULSE_KEYS,
+    Scenario,
+    load_scenario,
+    resolve_medium,
+    run_scenario,
+)
 from slowlight.io import (
     read_detuning_series_csv,
     read_timeseries_csv,
@@ -60,6 +68,38 @@ def test_synth_amg_has_modulation_zeros(tmp_path):
 
 def test_synth_needs_a_width(capsys):
     assert main(["synth", "--kind", "gaussian", "--out", "x.csv"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--kind", "amg", "--t0-us", "6.5", "--out", "x.csv", "--bogus"],  # unknown flag
+    ["synth", "--kind", "amg", "--t0-us", "6.5"],  # missing --out
+    ["synth", "--kind", "amg", "--t0-us", "abc", "--out", "x.csv"],  # bad float
+    ["frobnicate"],  # bad subcommand
+    [],  # no subcommand
+    ["synth", "--kind", "foo", "--t0-us", "6.5", "--out", "x.csv"],
+    ["synth", "--t0-us", "6.5", "--out", "x.csv"],  # no --kind
+], ids=["unknown-flag", "missing-flag", "bad-float", "bad-subcommand", "no-subcommand",
+        "bad-kind", "no-kind"])
+def test_bad_arguments_print_one_validation_line(capsys, argv):
+    assert main(argv) == 2  # returned: argparse raised no SystemExit
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("slowlight: error[validation]: "), lines
+    assert captured.out == ""  # no usage text on either stream
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+    assert "--kind" in capsys.readouterr().out
+
+
+def test_synth_kind_is_case_insensitive(tmp_path):
+    for kind in ("amg", "AMG"):
+        assert main(["synth", "--kind", kind, "--t0-us", "6.5", "--depth", "1",
+                     "--mod-khz", "700", "--out", str(tmp_path / f"{kind}.csv")]) == 0
+    assert (tmp_path / "AMG.csv").read_bytes() == (tmp_path / "amg.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command, keys, required", [
@@ -246,6 +286,26 @@ def test_medium_flags_are_validated(capsys, tmp_path, gauss_spec):
                  "--out", str(tmp_path / "o.csv")]) == 2  # no medium at all
 
 
+def test_calibration_keys_reject_scale(tmp_path, capsys, gauss_spec):
+    window = {"peak": 0.615, "background": 0.1, "fwhm_khz": 350}
+    with pytest.raises(ValidationError, match="scale: not used beside peak"):
+        resolve_medium({**window, "scale": 0.3})
+    path = tmp_path / "pulse.csv"
+    write_waveform_csv(path, synth(gauss_spec))
+    assert main(["propagate", "--input", str(path), "--peak", "0.615", "--background", "0.1",
+                 "--fwhm-khz", "350", "--scale", "0.3", "--out", str(tmp_path / "o.csv")]) == 2
+    assert "error[validation]: scale: not used beside" in capsys.readouterr().err
+
+
+def test_gamma_keys_reject_calibration_keys(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="peak, background, fwhm_khz: not used beside gamma"):
+        resolve_medium({"gamma_khz": 268, "z": 0.9, "peak": 0.615, "background": 0.1,
+                        "fwhm_khz": 350})
+    config = _scenario_with(tmp_path, "medium", "fwhm_khz", "350")  # beside gamma_khz and z
+    assert main(["run", str(config)]) == 2
+    assert f"{config}: [medium] fwhm_khz: not used beside gamma_khz" in capsys.readouterr().err
+
+
 def _source_scenario(tmp_path, name, medium_extra, source):
     config = tmp_path / f"{name}.ini"
     config.write_text(
@@ -319,6 +379,20 @@ def test_run_bad_value_is_prefixed_once(tmp_path, capsys, section, key, value, n
     err = capsys.readouterr().err
     assert f"{config}: [{section}] {named}" in err
     assert err.count("bad.ini") == 1
+
+
+@pytest.mark.parametrize("section, key, message", [
+    ("pulse", "depht", "[pulse] depht: unknown key"),  # a typo of depth
+    ("output", "dri", "[output] dri: unknown key"),
+    ("pulses", "depth", "[pulses] unknown section"),
+])
+def test_run_rejects_unknown_keys_and_sections(tmp_path, capsys, section, key, message):
+    config = _scenario_with(tmp_path, section, key, "1.0")
+    assert main(["run", str(config)]) == 2
+    assert f"error[validation]: {config}: {message}" in capsys.readouterr().err
+    # --out-dir overrides [output] dir but not the check of [output]'s keys
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_non_finite_width_is_validation_error(tmp_path, capsys):
