@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .signal import Waveform, _handover
+from .signal import SamplingGrid, Waveform, _handover
 from .spectral import (
     Spectrum,
     _band_slice,
@@ -126,35 +126,44 @@ def _require_sidebands(s_in: Spectrum, s_out: Spectrum, bands) -> None:
                 )
 
 
-def decompose_components(
-    s_out: Spectrum, s_in: Spectrum, mod_freq: float
-) -> ComponentDecomposition:
-    """Split an output AMG spectrum into carrier and sideband pulses.
+def check_band_plan(grid: SamplingGrid, mod_freq: float) -> dict[str, tuple[float, float]]:
+    """The carrier, left and right bands of an AMG pulse modulated at
+    mod_freq, as (low, high) detunings in Hz.
 
-    Bands are the symmetric split at +-mod_freq/2 and +-3*mod_freq/2:
-    carrier [-f/2, f/2), right [f/2, 3f/2), left [-3f/2, -f/2).  Components
-    come from the output spectrum; the common reference pulse is the carrier
-    band of the input spectrum.  Delays are measured peak to peak against
-    the reference.  A right band reaching past the Nyquist frequency would
-    alias, so it is rejected.
+    The bands are the symmetric split at +-mod_freq/2 and +-3*mod_freq/2:
+    carrier [-f/2, f/2), right [f/2, 3f/2), left [-3f/2, -f/2).  A right
+    band reaching past grid's Nyquist frequency would alias, so it is
+    rejected.
     """
-    if s_out.grid != s_in.grid:
-        raise ValidationError("output and input spectra must share one grid")
     if not mod_freq > 0:
         raise ValidationError(f"mod_freq must be positive, got {mod_freq}")
     h = mod_freq / 2.0
-
     bands = {
         "carrier": (-h, h),
         "left": (-mod_freq - h, -mod_freq + h),
         "right": (mod_freq - h, mod_freq + h),
     }
-    top, nyquist = bands["right"][1], s_out.grid.nyquist
+    top, nyquist = bands["right"][1], grid.nyquist
     if top > nyquist:
         raise ValidationError(
             f"the right band's top 3*mod_freq/2 = {top} Hz lies above the "
             f"Nyquist frequency {nyquist} Hz; the sidebands would alias"
         )
+    return bands
+
+
+def decompose_components(
+    s_out: Spectrum, s_in: Spectrum, mod_freq: float
+) -> ComponentDecomposition:
+    """Split an output AMG spectrum into carrier and sideband pulses.
+
+    The bands are check_band_plan's.  Components come from the output
+    spectrum; the common reference pulse is the carrier band of the input
+    spectrum.  Delays are measured peak to peak against the reference.
+    """
+    if s_out.grid != s_in.grid:
+        raise ValidationError("output and input spectra must share one grid")
+    bands = check_band_plan(s_out.grid, mod_freq)
     _require_sidebands(s_in, s_out, bands)
 
     reference = idft(band_extract(s_in, *bands["carrier"]))

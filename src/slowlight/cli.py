@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from . import io as sio
 from .analysis import CompensationConfig
 from .errors import NumericError, ValidationError
 from .medium import EitMedium, MeasuredTransmission
-from .propagation import Channel, EdgeEnergyWarning, propagate
+from .propagation import Channel, propagate
 from .scenario import (
     BUNDLED_SCENARIOS,
     MEDIUM_KEYS,
@@ -111,7 +110,9 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     ref_grid = _load_waveform(args.time_ref).grid if args.time_ref else None
     s_out = sio.read_spectrum_csv(args.spectrum, ref_grid)
     table = _table_from_args(args)
-    medium = _medium_from_args(args) if table is None else None
+    # the table supplies the transmission, but medium flags beside it are still checked
+    given = any(getattr(args, key) is not None for key in MEDIUM_KEYS)
+    medium = _medium_from_args(args) if table is None or given else None
     compensated, recovered, gain = compensate(
         s_out, medium, table, CompensationConfig(floor=args.floor)
     )
@@ -229,14 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with warnings.catch_warnings():
-            # a wrapped pulse invalidates results; fail loudly from the CLI
-            warnings.simplefilter("error", EdgeEnergyWarning)
-            return args.func(args)
+        return args.func(args)
     except ValidationError as exc:
         print(f"slowlight: error[validation]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericError, EdgeEnergyWarning) as exc:
+    except NumericError as exc:
         print(f"slowlight: error[numeric]: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

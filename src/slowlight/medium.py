@@ -51,15 +51,25 @@ class EitMedium:
             raise ValidationError(f"scale must lie in (0, 1], got {self.scale}")
 
 
+def _detunings(delta) -> np.ndarray:
+    """delta as float64 detunings in Hz; ValidationError naming the first
+    non-finite one."""
+    d = np.asarray(delta, dtype=np.float64)
+    finite = np.isfinite(d)
+    if not finite.all():
+        raise ValidationError(f"detuning must be finite, got {d[~finite].flat[0]}")
+    return d
+
+
 def amplitude_response(m: EitMedium, delta):
     """Field amplitude ratio A(delta) = |H(delta)|, in (0, 1]."""
-    d = np.asarray(delta, dtype=np.float64)
+    d = _detunings(delta)
     return np.sqrt(m.scale) * np.exp(-d**2 * m.z / (d**2 + m.gamma_eit**2))
 
 
 def phase_response(m: EitMedium, delta):
     """Phase Phi(delta) in radians; odd in delta, zero at resonance."""
-    d = np.asarray(delta, dtype=np.float64)
+    d = _detunings(delta)
     return d * m.z * m.gamma_eit / (d**2 + m.gamma_eit**2)
 
 
@@ -69,7 +79,7 @@ def group_delay(m: EitMedium, delta):
     Positive means delay (slow light), negative advancement (fast light);
     the sign changes exactly at |delta| = gamma_eit.
     """
-    d = np.asarray(delta, dtype=np.float64)
+    d = _detunings(delta)
     g2 = m.gamma_eit**2
     return (m.z * m.gamma_eit / _TWO_PI) * (g2 - d**2) / (d**2 + g2) ** 2
 
@@ -145,7 +155,7 @@ class MeasuredTransmission:
 
 def transmission_lookup(table: MeasuredTransmission, delta):
     """Interpolated intensity transmission at delta (Hz), clamped to [0, 1]."""
-    d = np.asarray(delta, dtype=np.float64)
+    d = _detunings(delta)
     t = table.transmissions
     outside = 0.5 * float(t[0] + t[-1])
     value = np.interp(d, table.detunings, t, left=outside, right=outside)

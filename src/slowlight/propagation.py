@@ -5,17 +5,20 @@ The phase always comes from the analytic medium.  The amplitude comes from
 the medium too (the analytic channel), or from a measured transmission table
 (the hybrid channel), whose values are intensity transmission, so field
 filtering uses their square root.  propagate is the one dft -> multiply ->
-idft path, with the wrap-around guard on its output.
+idft path.  It raises NumericError when energy sits at an edge of the input
+spectrum or the output spectrum (a grid whose Nyquist frequency cuts into
+the pulse's band) or of the output waveform (circular wrap-around of a
+delayed pulse); edge_energy_fraction is the one measure of all three.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .medium import (
     EitMedium,
     MeasuredTransmission,
@@ -28,11 +31,37 @@ from .spectral import Spectrum, dft, idft
 
 
 class EdgeEnergyWarning(UserWarning):
-    """Output energy near the window edges; circular wrap-around is suspect."""
+    """Never emitted: the edge-energy guards raise NumericError.  Kept only
+    because the benchmark in perfbench/ still names it; it goes with the
+    benchmark's next change, as does warn_if_wrapped."""
 
 
-# fraction of output energy tolerated in the outer 5% of the window
+# fraction of energy tolerated in the outer 5% of the samples
 _EDGE_ENERGY_LIMIT = 1e-6
+_NYQUIST_EDGE = "bins, at the Nyquist frequency; the grid undersamples the pulse"
+_WINDOW_EDGE = "window; the result may be wrapped circularly"
+
+
+def edge_energy_fraction(samples) -> float:
+    """Share of sum |x|^2 in the outer 5% of the samples, 2.5% at each end;
+    0 for all-zero samples.  Serves waveforms and spectra alike."""
+    x = np.asarray(samples)
+    total = np.vdot(x, x).real
+    if total == 0.0:
+        return 0.0
+    m = max(1, math.ceil(0.025 * x.size))
+    head, tail = x[:m], x[-m:]
+    return float((np.vdot(head, head).real + np.vdot(tail, tail).real) / total)
+
+
+def _require_inside(label: str, samples, edge: str) -> None:
+    """Raise NumericError naming `label` when more than _EDGE_ENERGY_LIMIT
+    of the energy of samples lies at their edges."""
+    fraction = edge_energy_fraction(samples)
+    if fraction > _EDGE_ENERGY_LIMIT:
+        raise NumericError(
+            f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,30 +100,21 @@ def propagate_spectrum(s_in: Spectrum, ch: Channel) -> Spectrum:
 def propagate(w: Waveform, ch: Channel) -> tuple[Spectrum, Spectrum, Waveform]:
     """Input spectrum, output spectrum and output waveform of w through ch.
 
-    The output waveform may be complex.  Warns with EdgeEnergyWarning when
-    more than 1e-6 of its energy sits in the outer 5% of the window, the
-    signature of circular wrap-around of a delayed pulse.
+    The output waveform may be complex.  Raises NumericError when more than
+    1e-6 of the energy of the input spectrum, the output spectrum or the
+    output waveform, checked in that order, sits in its outer 5%: at the
+    Nyquist edge the grid undersamples the pulse's band, and at the window
+    edge a delayed pulse has wrapped around circularly.
     """
     s_in = dft(w)
+    _require_inside("input spectrum", s_in.samples, _NYQUIST_EDGE)
     s_out = propagate_spectrum(s_in, ch)
+    _require_inside("output spectrum", s_out.samples, _NYQUIST_EDGE)
     output = idft(s_out)
-    warn_if_wrapped(output)
+    _require_inside("output waveform", output.samples, _WINDOW_EDGE)
     return s_in, s_out, output
 
 
 def warn_if_wrapped(w: Waveform) -> None:
-    """Emit EdgeEnergyWarning when a waveform's energy leaks to the window edges."""
-    intensity = np.abs(w.samples) ** 2
-    total = float(np.sum(intensity))
-    if total == 0.0:
-        return
-    m = max(1, int(np.ceil(0.025 * w.grid.n)))
-    edge = float(np.sum(intensity[:m]) + np.sum(intensity[-m:]))
-    fraction = edge / total
-    if fraction > _EDGE_ENERGY_LIMIT:
-        warnings.warn(
-            f"{fraction:.2e} of the output energy lies in the outer 5% of the "
-            f"window; the result may be wrapped circularly",
-            EdgeEnergyWarning,
-            stacklevel=3,
-        )
+    """propagate's output-waveform guard; kept for the benchmark, see EdgeEnergyWarning."""
+    _require_inside("output waveform", w.samples, _WINDOW_EDGE)

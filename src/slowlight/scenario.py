@@ -13,6 +13,8 @@ _section opens, is rejected as unknown once every known one has been read.
 resolve_pulse, resolve_medium and pulse_grid resolve the [pulse], [medium]
 and [grid] keys, which are also the CLI's options, in SI units.  A relative
 [medium] transmission_file is read from the scenario file's directory.
+A scenario that decomposes has its band plan checked at load, so an aliased
+sideband is a ValidationError before propagate's edge-energy guards run.
 
 run_scenario chains the stage functions propagation.propagate, compensate,
 decompose and metric_rows, which compute but write nothing; it writes the
@@ -31,6 +33,7 @@ from pathlib import Path
 from . import io as sio
 from .analysis import (
     CompensationConfig,
+    check_band_plan,
     compensate_intensity_spectrum,
     decompose_components,
     export_gain_spectrum,
@@ -237,8 +240,10 @@ def load_scenario(name_or_path: str, out_dir: str | Path | None = None) -> Scena
     with _section(unread, origin, "run", required=False) as sec:
         do_compensate = _get(sec, "compensate", bool, True)
         do_decompose = _get(sec, "decompose", bool, pulse.kind == AMG)
-        if do_decompose and pulse.kind != AMG:
-            raise ValidationError("decompose: only AMG pulses decompose")
+        if do_decompose:
+            if pulse.kind != AMG:
+                raise ValidationError("decompose: only AMG pulses decompose")
+            check_band_plan(grid, pulse.mod_freq)  # before propagate's edge guards
 
     with _section(unread, origin, "output", required=out_dir is None) as sec:
         # taken even when out_dir overrides it, else it would be left as unknown

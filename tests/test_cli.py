@@ -409,7 +409,7 @@ def test_synth_overflowing_grid_is_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def _aliased_scenario(tmp_path):
+def _aliased_scenario(tmp_path, decompose="yes"):
     # fig3b's pulse and medium on a grid whose Nyquist frequency (640 kHz)
     # lies below the right band's top, 3 * 700 kHz / 2
     config = tmp_path / "aliased.ini"
@@ -417,7 +417,7 @@ def _aliased_scenario(tmp_path):
         "[pulse]\nkind = amg\nt0_us = 6.5\ndepth = 1.0\nmod_khz = 700\n"
         "[medium]\npeak = 0.615\nbackground = 0.10\nfwhm_khz = 350\n"
         "[grid]\nn = 256\nwindow_us = 200\n"
-        "[run]\ndecompose = yes\n"
+        f"[run]\ndecompose = {decompose}\n"
         f"[output]\ndir = {tmp_path / 'out'}\n"
     )
     return str(config)
@@ -433,6 +433,30 @@ def test_run_rejected_by_the_last_stage_writes_no_file(tmp_path, capsys):
     # decompose is the last stage to run; every artifact waits for it
     assert main(["run", _aliased_scenario(tmp_path)]) == 2
     assert list(tmp_path.glob("out/*.csv")) == []
+
+
+def test_run_undersampled_pulse_is_numeric_error(tmp_path, capsys):
+    # without decompose the band plan is not checked; the aliased sideband
+    # puts energy at the Nyquist edge of the input spectrum
+    assert main(["run", _aliased_scenario(tmp_path, decompose="no")]) == 3
+    err = capsys.readouterr().err
+    assert "error[numeric]" in err and "input spectrum" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compensate_with_table_checks_the_medium_flags(tmp_path, capsys):
+    pulse, spectrum, table = tmp_path / "p.csv", tmp_path / "s.csv", tmp_path / "t.csv"
+    out = tmp_path / "r.csv"
+    assert main(["synth", "--kind", "amg", "--t0-us", "6.5", "--depth", "1",
+                 "--mod-khz", "700", "--out", str(pulse), "--spectrum-out", str(spectrum)]) == 0
+    write_transmission_csv(table, MeasuredTransmission(np.linspace(-3e6, 3e6, 5), np.full(5, 0.5)))
+    base = ["compensate", "--spectrum", str(spectrum), "--transmission-file", str(table),
+            "--time-ref", str(pulse), "--out", str(out)]
+    assert main([*base, "--gamma-khz", "-5", "--z", "nan"]) == 2
+    assert "z must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*base, "--gamma-khz", "268.2", "--z", "0.9083"]) == 0
+    assert main(base) == 0
 
 
 def test_run_grid_over_the_cap_is_validation_error(tmp_path, capsys):

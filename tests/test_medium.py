@@ -232,6 +232,20 @@ def test_medium_rejects_non_finite(name, value):
         EitMedium(**{"gamma_eit": 1e5, "z": 1.0, name: value})
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("response", [
+    amplitude_response, phase_response, group_delay, intensity_transmission,
+    lambda m, d: transmission_lookup(_table(), d),
+    lambda m, d: field_response(Channel(m), d),
+], ids=["amplitude", "phase", "group_delay", "intensity", "lookup", "field"])
+def test_responses_reject_non_finite_detunings(response, value):
+    m = EitMedium(GAMMA, Z)
+    with pytest.raises(ValidationError, match=f"detuning must be finite, got {value}"):
+        response(m, value)
+    with pytest.raises(ValidationError, match=f"detuning must be finite, got {value}"):
+        response(m, np.array([0.0, 1e5, value, math.nan]))
+
+
 def _table():
     return MeasuredTransmission(
         detunings=np.array([-2e5, -1e5, 0.0, 1e5, 2e5]),

@@ -7,10 +7,11 @@ import pytest
 
 from slowlight import (
     AMG,
+    GAUSSIAN,
     Channel,
-    EdgeEnergyWarning,
     EitMedium,
     MeasuredTransmission,
+    NumericError,
     PulseSpec,
     SamplingGrid,
     Spectrum,
@@ -32,6 +33,7 @@ from slowlight import (
 )
 
 from slowlight.io import read_transmission_csv, write_transmission_csv
+from slowlight.propagation import edge_energy_fraction
 
 from conftest import MOD_FREQ
 
@@ -101,21 +103,20 @@ def test_energy_never_increases(rng, calibrated):
         assert out_energy <= w.energy() * (1 + 1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::slowlight.EdgeEnergyWarning")
 def test_pipeline_linearity(gauss_spec, gauss_grid, calibrated):
-    # the broadband noise term legitimately reaches the window edges
+    # the broadband noise term fills the band up to the Nyquist edges, which
+    # propagate's guard rejects, so the linear map is taken without it
     channel = Channel.analytic(calibrated)
+
+    def apply(w):
+        return idft(propagate_spectrum(dft(w), channel))
+
     w1 = synth(gauss_spec, gauss_grid)
     rng = np.random.default_rng(3)
     w2 = Waveform(gauss_grid, rng.standard_normal(gauss_grid.n))
     a, b = 0.3 + 1.1j, -2.5
-    combined = propagate(
-        Waveform(gauss_grid, a * w1.samples + b * w2.samples), channel
-    )[2]
-    separate = (
-        a * propagate(w1, channel)[2].samples
-        + b * propagate(w2, channel)[2].samples
-    )
+    combined = apply(Waveform(gauss_grid, a * w1.samples + b * w2.samples))
+    separate = a * apply(w1).samples + b * apply(w2).samples
     np.testing.assert_allclose(
         combined.samples, separate, rtol=0, atol=1e-12 * np.max(np.abs(separate))
     )
@@ -183,15 +184,57 @@ def test_sideband_band_delays_match_group_delay(amg_spec, amg_grid, calibrated):
         assert abs(measured - float(group_delay(calibrated, center))) < amg_grid.dt
 
 
-def test_wrap_warning_on_edge_energy(calibrated):
+def test_wrap_guard_on_edge_energy(calibrated):
     # park the pulse near the window edge so the filtered output leaks around
+    # (its truncation also puts energy at the Nyquist edge of its spectrum)
     spec = PulseSpec(AMG, 2e-6, mod_depth=1.0, mod_freq=MOD_FREQ)
     grid = default_grid(spec)
     late = PulseSpec(AMG, 2e-6, mod_depth=1.0, mod_freq=MOD_FREQ,
                      center=grid.t_start + grid.window - 2.5e-6)
     w = synth(late, grid)
-    with pytest.warns(EdgeEnergyWarning):
+    with pytest.raises(NumericError):
         propagate(w, Channel.analytic(calibrated))
+
+
+def test_edge_energy_fraction():
+    assert edge_energy_fraction(np.zeros(64)) == 0.0
+    assert edge_energy_fraction(np.zeros(64, dtype=complex)) == 0.0
+    # 64 samples: the outer 5% is ceil(1.6) = 2 samples at each end
+    x = np.zeros(64, dtype=complex)
+    x[[0, 1, 62, 63]] = 1j
+    x[2:62] = 1.0
+    assert edge_energy_fraction(x) == pytest.approx(4 / 64, rel=1e-15)
+    assert edge_energy_fraction(np.ones(8)) == 0.25  # one sample at each end
+
+
+def test_delayed_pulse_wrapped_in_time_only():
+    # the pulse sits 36 us before the window's end, and the medium delays it
+    # by 11.9 us: both spectra are clean, only the output waveform wraps
+    spec = PulseSpec(GAUSSIAN, 6.5e-6)
+    grid = default_grid(spec)
+    late = PulseSpec(GAUSSIAN, 6.5e-6, center=grid.t_start + grid.window - 36e-6)
+    w = synth(late, grid)
+    medium = EitMedium(268.2e3, 20.0)
+    assert float(group_delay(medium, 0.0)) == pytest.approx(11.9e-6, rel=0.01)
+    s_in = dft(w)
+    s_out = propagate_spectrum(s_in, Channel(medium))
+    assert edge_energy_fraction(s_in.samples) < 1e-6
+    assert edge_energy_fraction(s_out.samples) < 1e-6
+    assert edge_energy_fraction(idft(s_out).samples) > 1e-3
+    with pytest.raises(NumericError, match="of the output waveform energy lies in the outer 5% "
+                                           "of the window"):
+        propagate(w, Channel(medium))
+
+
+def test_output_spectrum_at_the_nyquist_edge(gauss_spec, gauss_grid, calibrated):
+    # a table that blocks the pulse's band and passes only the lattice edges
+    d = gauss_grid.detunings()
+    half = d[-1] / 2.0
+    table = MeasuredTransmission([d[0], -half, half, d[-1]], [1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(NumericError, match="of the output spectrum energy lies in the outer 5% "
+                                           "of the bins, at the Nyquist frequency"):
+        propagate(synth(gauss_spec, gauss_grid), Channel(calibrated, table))
+
 
 
 def test_channel_type_validation(calibrated):
