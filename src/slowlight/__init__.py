@@ -39,14 +39,11 @@ from .scenario import Scenario, load_scenario, run_scenario
 from .signal import (
     AMG,
     GAUSSIAN,
-    IntensityTrace,
     PulseSpec,
     SamplingGrid,
     Waveform,
-    amplitude_from_intensity,
     default_grid,
     gaussian_spectral_fwhm,
-    intensity_of,
     synth,
 )
 from .spectral import (
@@ -70,7 +67,6 @@ __all__ = [
     "ComponentDecomposition",
     "EdgeEnergyWarning",
     "EitMedium",
-    "IntensityTrace",
     "MeasuredTransmission",
     "NumericError",
     "PulseMetrics",
@@ -82,7 +78,6 @@ __all__ = [
     "ValidationError",
     "Waveform",
     "amg_spectrum_closed_form",
-    "amplitude_from_intensity",
     "amplitude_response",
     "band_extract",
     "calibrate_from_transmission",
@@ -96,7 +91,6 @@ __all__ = [
     "gaussian_spectral_fwhm",
     "group_delay",
     "idft",
-    "intensity_of",
     "intensity_spectrum",
     "intensity_transmission",
     "load_scenario",

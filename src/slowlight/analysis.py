@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require_finite_array
 from .signal import SamplingGrid, Waveform, _handover
 from .spectral import (
     Spectrum,
@@ -66,9 +66,15 @@ def _validated_transmission(transmission, n: int | None = None) -> np.ndarray:
 def compensate_intensity_spectrum(
     intensity: np.ndarray, transmission, cfg: CompensationConfig
 ) -> np.ndarray:
-    """Bin-wise intensity / max(transmission, floor)."""
+    """Bin-wise intensity / max(transmission, floor); intensity is a finite,
+    nonnegative 1-d array."""
     i = np.asarray(intensity, dtype=np.float64)
-    t = _validated_transmission(transmission, i.shape[0])
+    if i.ndim != 1:
+        raise ValidationError(f"intensity spectrum must be 1-d, got shape {i.shape}")
+    require_finite_array(i, "intensity spectrum")
+    if np.any(i < 0):
+        raise ValidationError("intensity spectrum must be nonnegative")
+    t = _validated_transmission(transmission, i.size)
     return i / np.maximum(t, cfg.floor)
 
 

@@ -35,13 +35,7 @@ from .scenario import (
     resolve_pulse,
     run_scenario,
 )
-from .signal import (
-    IntensityTrace,
-    Waveform,
-    amplitude_from_intensity,
-    intensity_of,
-    synth,
-)
+from .signal import synth
 from .spectral import dft
 
 EXIT_OK = 0
@@ -69,13 +63,6 @@ def _table_from_args(args: argparse.Namespace) -> MeasuredTransmission | None:
     return None
 
 
-def _load_waveform(path) -> Waveform:
-    loaded = sio.read_timeseries_csv(path)
-    if isinstance(loaded, IntensityTrace):
-        return amplitude_from_intensity(loaded)
-    return loaded
-
-
 def _print_kv(key: str, value: float) -> None:
     print(f"{key} = {value!r}")
 
@@ -98,16 +85,16 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_propagate(args: argparse.Namespace) -> int:
-    w = _load_waveform(args.input)
+    w = sio.read_timeseries_csv(args.input)
     _, s_out, out = propagate(w, Channel(_medium_from_args(args), _table_from_args(args)))
-    sio.write_intensity_csv(args.out, intensity_of(out))
+    sio.write_intensity_csv(args.out, out)
     if args.spectrum_out:
         sio.write_spectrum_csv(args.spectrum_out, s_out)
     return EXIT_OK
 
 
 def _cmd_compensate(args: argparse.Namespace) -> int:
-    ref_grid = _load_waveform(args.time_ref).grid if args.time_ref else None
+    ref_grid = sio.read_timeseries_csv(args.time_ref).grid if args.time_ref else None
     s_out = sio.read_spectrum_csv(args.spectrum, ref_grid)
     table = _table_from_args(args)
     # the table supplies the transmission, but medium flags beside it are still checked
@@ -116,7 +103,7 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     compensated, recovered, gain = compensate(
         s_out, medium, table, CompensationConfig(floor=args.floor)
     )
-    sio.write_intensity_csv(args.out, intensity_of(recovered))
+    sio.write_intensity_csv(args.out, recovered)
     deltas = s_out.detunings()
     if args.compensated_spectrum_out:
         sio.write_intensity_spectrum_csv(args.compensated_spectrum_out, deltas, compensated)
@@ -126,21 +113,21 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    w_in = _load_waveform(args.input)
+    w_in = sio.read_timeseries_csv(args.input)
     s_out = sio.read_spectrum_csv(args.spectrum, w_in.grid)
-    traces, rows = decompose(s_out, dft(w_in), args.mod_khz * 1e3)
+    components, rows = decompose(s_out, dft(w_in), args.mod_khz * 1e3)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, trace in traces.items():
-        sio.write_intensity_csv(out_dir / name, trace)
+    for name, component in components.items():
+        sio.write_intensity_csv(out_dir / name, component)
     for key, value in rows:
         _print_kv(key, value)
     return EXIT_OK
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    out = _load_waveform(args.out_file)
-    for key, value in metric_rows("", out, _load_waveform(args.in_file)):
+    out = sio.read_timeseries_csv(args.out_file)
+    for key, value in metric_rows("", out, sio.read_timeseries_csv(args.in_file)):
         _print_kv(key, value)
     return EXIT_OK
 

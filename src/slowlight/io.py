@@ -11,6 +11,13 @@ once.  Readers take ASCII text only, parse block by block into a float64
 array, reject non-finite cells, validate uniform axis spacing to 1e-6
 relative and snap the spacing to the exact float the writer used when one
 reproduces every axis value.
+
+A waveform is written as its field (time_s,field) or as the intensity
+|e|^2 a detector records (time_s,intensity), and either file reads back as
+a Waveform: an intensity I as the field sqrt(I).  Every intensity this
+package writes is fl(a*a) for a float a, and sqrt(fl(a*a)) == a unless a*a
+underflows, so write -> read -> write of an intensity file stays
+byte-identical too.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .medium import MeasuredTransmission
-from .signal import IntensityTrace, SamplingGrid, Waveform
+from .signal import SamplingGrid, Waveform
 from .spectral import Spectrum
 
 FIELD_HEADER = "time_s,field"
@@ -166,24 +173,21 @@ def write_waveform_csv(path, w: Waveform) -> None:
     _write_csv(path, FIELD_HEADER, (w.grid.times(), w.samples.real))
 
 
-def write_intensity_csv(path, trace: IntensityTrace) -> None:
-    _write_csv(path, INTENSITY_HEADER, (trace.grid.times(), trace.samples))
+def write_intensity_csv(path, w: Waveform) -> None:
+    """Write the intensity |e|^2 of a waveform as time_s,intensity rows."""
+    _write_csv(path, INTENSITY_HEADER, (w.grid.times(), np.abs(w.samples) ** 2))
 
 
-def read_timeseries_csv(path) -> Waveform | IntensityTrace:
-    """Read a time_s,field file as a Waveform or time_s,intensity as an IntensityTrace.
-
-    A recorded trace is an intensity: label it time_s,intensity, and take
-    its field as E = sqrt(I) with signal.amplitude_from_intensity.
-    """
+def read_timeseries_csv(path) -> Waveform:
+    """Read a time_s,field file, or a time_s,intensity file as the field sqrt(I)."""
     header, data = _read_csv(path, {FIELD_HEADER, INTENSITY_HEADER})
     grid = _grid_from_times(data[:, 0], path)
-    if header == FIELD_HEADER:
-        return Waveform(grid, data[:, 1])
-    try:
-        return IntensityTrace(grid, data[:, 1])
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    samples = data[:, 1]
+    if header == INTENSITY_HEADER:
+        if np.any(samples < 0):
+            raise ValidationError(f"{path}: intensity samples must be nonnegative")
+        samples = np.sqrt(samples)
+    return Waveform(grid, samples)
 
 
 def write_spectrum_csv(path, s: Spectrum) -> None:

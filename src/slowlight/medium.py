@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, require_finite, require_finite_array
 
 _TWO_PI = 2.0 * math.pi
 
@@ -54,11 +54,7 @@ class EitMedium:
 def _detunings(delta) -> np.ndarray:
     """delta as float64 detunings in Hz; ValidationError naming the first
     non-finite one."""
-    d = np.asarray(delta, dtype=np.float64)
-    finite = np.isfinite(d)
-    if not finite.all():
-        raise ValidationError(f"detuning must be finite, got {d[~finite].flat[0]}")
-    return d
+    return require_finite_array(np.asarray(delta, dtype=np.float64), "detuning")
 
 
 def amplitude_response(m: EitMedium, delta):
@@ -141,6 +137,7 @@ class MeasuredTransmission:
         t = np.array(self.transmissions, dtype=np.float64)
         if d.ndim != 1 or d.shape != t.shape:
             raise ValidationError("detunings and transmissions must be equal-length 1-d arrays")
+        require_finite_array(d, "tabulated detuning")
         if d.size < 4:
             raise ValidationError(f"need at least 4 tabulated points, got {d.size}")
         if np.any(np.diff(d) <= 0):

@@ -56,9 +56,10 @@ def edge_energy_fraction(samples) -> float:
 
 def _require_inside(label: str, samples, edge: str) -> None:
     """Raise NumericError naming `label` when more than _EDGE_ENERGY_LIMIT
-    of the energy of samples lies at their edges."""
+    of the energy of samples lies at their edges, or when that fraction is
+    not finite (an energy sum that overflowed)."""
     fraction = edge_energy_fraction(samples)
-    if fraction > _EDGE_ENERGY_LIMIT:
+    if not fraction <= _EDGE_ENERGY_LIMIT:
         raise NumericError(
             f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"
         )

@@ -55,7 +55,6 @@ from .signal import (
     SamplingGrid,
     Waveform,
     default_grid,
-    intensity_of,
     synth,
 )
 from .spectral import Spectrum, intensity_spectrum
@@ -287,15 +286,15 @@ def compensate(s_out: Spectrum, medium: EitMedium | None,
 
 
 def decompose(s_out: Spectrum, s_in: Spectrum, mod_freq: float):
-    """The intensity of each component of s_out by its file name,
+    """Each component waveform of s_out by the name of its intensity file,
     component_<label>.csv, and the carrier and sideband delays as
     (name, value) rows."""
     parts = decompose_components(s_out, s_in, mod_freq)
-    traces = {f"component_{label}.csv": intensity_of(getattr(parts, label))
-              for label in ("carrier", "left", "right", "reference")}
+    components = {f"component_{label}.csv": getattr(parts, label)
+                  for label in ("carrier", "left", "right", "reference")}
     rows = [(f"{label}_delay_s", getattr(parts, f"{label}_delay"))
             for label in ("carrier", "left", "right")]
-    return traces, rows
+    return components, rows
 
 
 def metric_rows(prefix: str, out: Waveform, reference: Waveform):
@@ -338,15 +337,15 @@ def run_scenario(sc: Scenario) -> dict[str, float]:
     out.mkdir(parents=True, exist_ok=True)
     sio.write_waveform_csv(out / "input_pulse.csv", pulse)
     sio.write_spectrum_csv(out / "input_spectrum.csv", s_in)
-    sio.write_intensity_csv(out / "output_intensity.csv", intensity_of(output))
+    sio.write_intensity_csv(out / "output_intensity.csv", output)
     sio.write_spectrum_csv(out / "output_spectrum.csv", s_out)
     if sc.do_compensate:
         deltas = s_out.detunings()
         sio.write_intensity_spectrum_csv(out / "compensated_spectrum.csv", deltas, compensated)
-        sio.write_intensity_csv(out / "recovered_intensity.csv", intensity_of(recovered))
+        sio.write_intensity_csv(out / "recovered_intensity.csv", recovered)
         sio.write_gain_csv(out / "gain_spectrum.csv", deltas, gain)
     if sc.do_decompose:
-        for name, trace in components.items():
-            sio.write_intensity_csv(out / name, trace)
+        for name, component in components.items():
+            sio.write_intensity_csv(out / name, component)
     sio.write_metrics_csv(out / "metrics.csv", rows)
     return dict(rows)

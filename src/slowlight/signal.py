@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, require_finite, require_finite_array
 
 LN2 = math.log(2.0)
 
@@ -92,14 +92,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _own_samples(obj, dtype, what: str) -> np.ndarray:
-    """Set obj.samples to a frozen dtype copy of itself, after checking that
-    it holds obj.grid.n values; `what` formats its shape for the error."""
-    arr = np.array(obj.samples, dtype=dtype)
+def _own_samples(obj, what: str) -> None:
+    """Set obj.samples to a frozen complex copy of itself, after checking that
+    it holds obj.grid.n finite values; `what` formats its shape for the error."""
+    arr = np.array(obj.samples, dtype=np.complex128)
     if arr.shape != (obj.grid.n,):
         raise ValidationError(f"{what.format(arr.shape)}, grid expects ({obj.grid.n},)")
+    require_finite_array(arr, "sample")
     object.__setattr__(obj, "samples", _freeze(arr))
-    return arr
 
 
 def _handover(cls, grid: SamplingGrid, samples: np.ndarray):
@@ -122,24 +122,11 @@ class Waveform:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _own_samples(self, np.complex128, "waveform has {} samples")
+        _own_samples(self, "waveform has {} samples")
 
     def energy(self) -> float:
         """Sum of |e|^2 * dt over the window."""
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dt)
-
-
-@dataclass(frozen=True, eq=False)
-class IntensityTrace:
-    """Real nonnegative intensity samples I(t) on a sampling grid."""
-
-    grid: SamplingGrid
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        arr = _own_samples(self, np.float64, "intensity trace has {} samples")
-        if np.any(arr < 0):
-            raise ValidationError("intensity samples must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -220,16 +207,3 @@ def synth(spec: PulseSpec, grid: SamplingGrid | None = None) -> Waveform:
         samples = samples * (1.0 + spec.mod_depth * np.cos(2.0 * math.pi * spec.mod_freq * tau))
     return Waveform(grid, samples)
 
-
-def intensity_of(w: Waveform) -> IntensityTrace:
-    """Detector view |e(t)|^2 of a waveform."""
-    return IntensityTrace(w.grid, np.abs(w.samples) ** 2)
-
-
-def amplitude_from_intensity(trace: IntensityTrace) -> Waveform:
-    """Field e(t) = sqrt(I(t)) of a nonnegative intensity trace.
-
-    IntensityTrace construction rejects negative samples, so this is total;
-    measurement artifacts must be clipped explicitly upstream.
-    """
-    return Waveform(trace.grid, np.sqrt(trace.samples))

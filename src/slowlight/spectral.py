@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require_finite_array
 from .signal import LN2, SamplingGrid, Waveform, _handover, _own_samples
 
 _TWO_PI = 2.0 * math.pi
@@ -45,7 +45,7 @@ class Spectrum:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _own_samples(self, np.complex128, "spectrum has {} bins")
+        _own_samples(self, "spectrum has {} bins")
 
     def detunings(self) -> np.ndarray:
         return self.grid.detunings()
@@ -108,12 +108,12 @@ def amg_spectrum_closed_form(t0: float, mod_depth: float, mod_freq: float, delta
     ln2/(2 pi t0) (FWHM ln2/(pi t0)).  Cross terms are neglected, valid when
     the modulation frequency far exceeds the spectral width.
     """
-    if not t0 > 0:
-        raise ValidationError(f"t0 must be positive, got {t0}")
+    if not 0.0 < t0 < math.inf:
+        raise ValidationError(f"t0 must be positive and finite, got {t0}")
     if not 0.0 <= mod_depth <= 1.0:
         raise ValidationError(f"mod_depth must lie in [0, 1], got {mod_depth}")
-    if not mod_freq > 0:
-        raise ValidationError(f"mod_freq must be positive, got {mod_freq}")
+    if not 0.0 < mod_freq < math.inf:
+        raise ValidationError(f"mod_freq must be positive and finite, got {mod_freq}")
     d = np.asarray(delta, dtype=np.float64)
     half_width = LN2 / (_TWO_PI * t0)
 
@@ -150,6 +150,7 @@ def fwhm(axis: np.ndarray, values: np.ndarray) -> float:
     values = np.asarray(values, dtype=np.float64)
     if axis.shape != values.shape or axis.ndim != 1 or axis.size < 3:
         raise ValidationError("fwhm needs matching 1-d axis/values with >= 3 samples")
+    require_finite_array(values, "fwhm value")
     i_peak = int(np.argmax(values))
     half = 0.5 * values[i_peak]
 
@@ -176,6 +177,7 @@ def peak_location(axis: np.ndarray, values: np.ndarray) -> float:
     values = np.asarray(values, dtype=np.float64)
     if axis.shape != values.shape or axis.ndim != 1 or axis.size == 0:
         raise ValidationError("peak_location needs matching nonempty 1-d axis/values")
+    require_finite_array(values, "peak_location value")
     i = int(np.argmax(values))
     if i == 0 or i == values.size - 1:
         return float(axis[i])

@@ -290,3 +290,13 @@ def test_compensation_rejects_nan_transmission():
     grid = SamplingGrid(n=8, dt=1e-6)
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         recover_waveform(Spectrum(grid, np.ones(8)), np.full(8, np.nan), cfg)
+
+
+@pytest.mark.parametrize("intensity, message", [
+    (1.0, r"intensity spectrum must be 1-d, got shape \(\)"),
+    ([1.0, math.nan], "intensity spectrum must be finite, got nan at index 1"),
+    ([1.0, -0.5], "intensity spectrum must be nonnegative"),
+])
+def test_compensation_rejects_bad_intensity(intensity, message):
+    with pytest.raises(ValidationError, match=message):
+        compensate_intensity_spectrum(intensity, np.full(2, 0.5), CompensationConfig())

@@ -502,3 +502,25 @@ def test_run_missing_table_names_the_scenario(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error[io]: {config}: [medium]" in err
     assert str(tmp_path / "nope.csv") in err
+
+
+def test_propagate_overflowing_field_is_numeric_error(tmp_path, capsys, gauss_spec):
+    w = synth(gauss_spec)
+    path = tmp_path / "huge.csv"
+    write_waveform_csv(path, Waveform(w.grid, w.samples * 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["propagate", "--input", str(path), "--gamma-khz", "268.2",
+                     "--z", "0.9083", "--out", str(tmp_path / "o.csv")])
+    assert code == 3
+    assert "error[numeric]: nan of the input spectrum energy" in capsys.readouterr().err
+
+
+def test_propagate_negative_intensity_file_is_validation_error(tmp_path, capsys):
+    grid = SamplingGrid(n=8, dt=1e-6)
+    path = tmp_path / "bad.csv"
+    path.write_text("time_s,intensity\n" + "".join(
+        f"{t!r},{v!r}\n" for t, v in zip(grid.times().tolist(), [1.0, -1.0] + [0.0] * 6)))
+    assert main(["propagate", "--input", str(path), "--gamma-khz", "268.2",
+                 "--z", "0.9083", "--out", str(tmp_path / "o.csv")]) == 2
+    assert (f"error[validation]: {path}: intensity samples must be nonnegative"
+            in capsys.readouterr().err)

@@ -295,3 +295,12 @@ def test_measured_transmission_validation():
         MeasuredTransmission(
             np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, np.nan, 0.4])
         )
+
+
+@pytest.mark.parametrize("detunings, bad", [
+    ([0.0, math.nan, 2.0, 3.0], "nan at index 1"),
+    ([0.0, 1.0, 2.0, math.inf], "inf at index 3"),
+])
+def test_table_rejects_non_finite_detunings(detunings, bad):
+    with pytest.raises(ValidationError, match=f"tabulated detuning must be finite, got {bad}"):
+        MeasuredTransmission(detunings, [0.5] * 4)

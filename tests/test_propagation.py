@@ -33,6 +33,7 @@ from slowlight import (
 )
 
 from slowlight.io import read_transmission_csv, write_transmission_csv
+from slowlight.scenario import load_scenario
 from slowlight.propagation import edge_energy_fraction
 
 from conftest import MOD_FREQ
@@ -242,3 +243,26 @@ def test_channel_type_validation(calibrated):
         Channel("not a medium")
     with pytest.raises(ValidationError, match="table"):
         Channel(calibrated, 3.14)
+
+
+def _fig2a():
+    sc = load_scenario("fig2a")
+    return synth(sc.pulse, sc.grid), sc.channel
+
+
+def test_a_nan_sample_never_reaches_propagate():
+    w, channel = _fig2a()
+    samples = w.samples.copy()
+    i = w.grid.n // 2
+    samples[i] = math.nan
+    with pytest.raises(ValidationError, match=f"sample must be finite, got .* at index {i}"):
+        propagate(Waveform(w.grid, samples), channel)
+
+
+def test_overflowing_spectrum_is_numeric_error():
+    # finite samples whose spectrum overflows: the edge fraction is inf/inf = nan
+    w, channel = _fig2a()
+    huge = Waveform(w.grid, w.samples * 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="nan of the input spectrum energy"):
+            propagate(huge, channel)

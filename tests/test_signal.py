@@ -1,4 +1,4 @@
-"""Pulse synthesis, grids, and intensity/amplitude conversion."""
+"""Pulse synthesis, grids and waveform samples."""
 
 import math
 import tracemalloc
@@ -10,17 +10,15 @@ from scipy.integrate import quad
 from slowlight import (
     AMG,
     GAUSSIAN,
-    IntensityTrace,
     PulseSpec,
     SamplingGrid,
+    Spectrum,
     ValidationError,
     Waveform,
-    amplitude_from_intensity,
     default_grid,
     dft,
     fwhm,
     gaussian_spectral_fwhm,
-    intensity_of,
     intensity_spectrum,
     peak_location,
     synth,
@@ -104,7 +102,7 @@ def test_gaussian_peak_and_half_points():
     spec = PulseSpec(GAUSSIAN, T0, center=0.0)
     grid = SamplingGrid(n=256, dt=T0 / 8.0, t_start=-16.0 * T0)
     w = synth(spec, grid)
-    intensity = intensity_of(w).samples
+    intensity = np.abs(w.samples) ** 2
     assert intensity[128] == 1.0
     assert intensity[128 + 8] == pytest.approx(0.5, rel=1e-12)
     assert intensity[128 - 8] == pytest.approx(0.5, rel=1e-12)
@@ -118,7 +116,7 @@ def test_gaussian_matches_printed_intensity_formula():
     w = synth(spec, grid)
     tau = grid.times() - spec.center
     np.testing.assert_allclose(
-        intensity_of(w).samples, np.exp(-LN2 * tau**2 / T0**2), rtol=1e-12, atol=0
+        np.abs(w.samples) ** 2, np.exp(-LN2 * tau**2 / T0**2), rtol=1e-12, atol=0
     )
 
 
@@ -135,7 +133,7 @@ def test_gaussian_spectral_fwhm_numeric(gauss_spec, gauss_grid):
 def test_amg_center_value_and_grid_formula(amg_spec):
     grid = default_grid(amg_spec)
     w = synth(amg_spec, grid)
-    intensity = intensity_of(w).samples
+    intensity = np.abs(w.samples) ** 2
     # cos = 1 at the center sample: I = (1 + A)^2
     assert intensity[grid.n // 2] == pytest.approx(4.0, rel=1e-12)
     # oracle: the printed formula evaluated on the grid
@@ -151,7 +149,7 @@ def test_amg_intensity_zeros_at_half_modulation_periods(amg_spec):
     dt = 1.0 / (32.0 * MOD_FREQ)
     grid = SamplingGrid(n=2048, dt=dt, t_start=-1024 * dt)
     w = synth(amg_spec, grid)
-    intensity = intensity_of(w).samples
+    intensity = np.abs(w.samples) ** 2
     for k in (1, 3, 5):
         idx = 1024 + k * 16  # k/(2 mod_freq) in samples
         assert intensity[idx] < 1e-25
@@ -242,7 +240,7 @@ def test_doubling_resolution_keeps_physical_metrics(amg_spec, calibrated):
     fine = SamplingGrid(n=2 * base.n, dt=base.dt / 2.0, t_start=base.t_start)
     w1, w2 = synth(amg_spec, base), synth(amg_spec, fine)
     assert w1.energy() == pytest.approx(w2.energy(), rel=1e-9)
-    i1, i2 = intensity_of(w1).samples, intensity_of(w2).samples
+    i1, i2 = np.abs(w1.samples) ** 2, np.abs(w2.samples) ** 2
     f1 = fwhm(base.times(), i1)
     f2 = fwhm(fine.times(), i2)
     assert abs(f1 - f2) < base.dt
@@ -255,35 +253,16 @@ def test_doubling_resolution_keeps_physical_metrics(amg_spec, calibrated):
     assert abs(d1 - d2) < base.dt
 
 
-def test_intensity_amplitude_round_trip(rng):
-    grid = SamplingGrid(n=64, dt=1e-6, t_start=0.0)
-    field = rng.uniform(0.0, 2.0, 64)
-    w = Waveform(grid, field)
-    back = amplitude_from_intensity(intensity_of(w))
-    np.testing.assert_allclose(back.samples.real, field, rtol=1e-12, atol=0)
-    # and the other direction
-    trace = IntensityTrace(grid, field**2)
-    np.testing.assert_allclose(
-        intensity_of(amplitude_from_intensity(trace)).samples, field**2, rtol=1e-12
-    )
-
-
-def test_intensity_trace_rejects_negative():
-    grid = SamplingGrid(n=8, dt=1e-6)
-    with pytest.raises(ValidationError):
-        IntensityTrace(grid, np.array([1.0, -0.1, 0, 0, 0, 0, 0, 0]))
-
-
-def test_amplitude_from_intensity_keeps_zeros():
-    grid = SamplingGrid(n=8, dt=1e-6)
-    trace = IntensityTrace(grid, np.array([0.0, 1.0, 4.0, 0.0, 9.0, 0.0, 1.0, 0.0]))
-    w = amplitude_from_intensity(trace)
-    np.testing.assert_array_equal(
-        w.samples.real, [0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 1.0, 0.0]
-    )
-
-
 def test_waveform_length_mismatch():
     grid = SamplingGrid(n=16, dt=1e-6)
     with pytest.raises(ValidationError):
         Waveform(grid, np.zeros(8))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("cls", [Waveform, Spectrum])
+def test_samples_reject_non_finite_naming_the_first_index(cls, bad):
+    samples = np.ones(8, dtype=complex)
+    samples[[5, 7]] = bad
+    with pytest.raises(ValidationError, match=r"sample must be finite, got .* at index 5$"):
+        cls(SamplingGrid(n=8, dt=1e-6), samples)

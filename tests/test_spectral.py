@@ -332,3 +332,16 @@ def test_one_grid_builds_two_ramps(rng):
         idft(dft(w))
     # one memo entry, built once, holds the forward and the inverse ramp
     assert tuple(_memo_ramps.cache_info())[:3] == (5, 1, 1)
+
+
+@pytest.mark.parametrize("measure", [peak_location, fwhm])
+def test_peak_measures_reject_non_finite_values(measure):
+    with pytest.raises(ValidationError, match="value must be finite, got nan at index 2"):
+        measure(np.arange(5.0), [0.0, 1.0, math.nan, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["t0", "mod_freq"])
+def test_amg_closed_form_rejects_infinite_parameters(name):
+    args = {"t0": T0, "mod_depth": MOD_DEPTH, "mod_freq": MOD_FREQ, name: math.inf}
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite, got inf"):
+        amg_spectrum_closed_form(delta=0.0, **args)
