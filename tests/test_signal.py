@@ -23,6 +23,7 @@ from slowlight import (
     peak_location,
     synth,
 )
+from slowlight.io import INTENSITY_HEADER, read_timeseries_csv
 from slowlight.scenario import pulse_grid
 from slowlight.signal import MAX_GRID_N
 
@@ -251,6 +252,17 @@ def test_doubling_resolution_keeps_physical_metrics(amg_spec, calibrated):
     d1 = measure_metrics(propagate(w1, channel)[2], w1).delay
     d2 = measure_metrics(propagate(w2, channel)[2], w2).delay
     assert abs(d1 - d2) < base.dt
+
+
+def test_intensity_trace_rejects_negative(tmp_path):
+    # A recorded time_s,intensity trace loads as the field sqrt(I), so a
+    # negative intensity sample is refused rather than turned into a NaN.
+    grid = SamplingGrid(n=8, dt=1e-6)
+    path = tmp_path / "trace.csv"
+    rows = [f"{float(t)!r},{v!r}" for t, v in zip(grid.times(), [1.0, -0.1, 0, 0, 0, 0, 0, 0])]
+    path.write_text("\n".join([INTENSITY_HEADER, *rows]) + "\n")
+    with pytest.raises(ValidationError, match="intensity samples must be nonnegative"):
+        read_timeseries_csv(path)
 
 
 def test_waveform_length_mismatch():
