@@ -25,6 +25,22 @@ def require_finite(obj, *fields: str) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
+# every time (s), frequency (Hz) and optical depth the model takes lies
+# within SCALE of zero, and a positive scale (dt, t0, gamma_eit) at least
+# 1/SCALE above it: wide enough for any pulse and medium, narrow enough that
+# the squares and products that synth, the transforms and the channel form
+# stay normal floats
+SCALE = 1e18
+
+
+def require_within(obj, low: float, high: float, *fields: str) -> None:
+    """Raise ValidationError naming the first of obj's fields outside [low, high]."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not low <= value <= high:
+            raise ValidationError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
+
+
 def require_finite_array(arr: np.ndarray, what: str) -> np.ndarray:
     """Return the array arr; raise ValidationError naming `what`, the first
     non-finite value in arr and, unless arr is a scalar, its flat index."""

@@ -7,10 +7,12 @@ opening the file, since the readers reject them too.  Rows are formatted and
 written in blocks of BLOCK_ROWS, one column at a time.  The first column of
 every file is a time or detuning axis; its formatted text is memoised for the
 last two distinct axes, so the artifacts of one pipeline format each axis
-once.  Readers take ASCII text only, parse block by block into a float64
-array, reject non-finite cells, validate uniform axis spacing to 1e-6
-relative and snap the spacing to the exact float the writer used when one
-reproduces every axis value.
+once.  Readers take ASCII text only and parse it in one np.loadtxt pass
+that hands each cell to Python's float, so spaces, tabs and 1_0 are
+accepted and a '#' is a malformed cell, not a comment.  They reject
+non-finite cells, validate uniform axis spacing to 1e-6 relative and snap
+the spacing to the exact float the writer used when one reproduces every
+axis value.
 
 A waveform is written as its field (time_s,field) or as the intensity
 |e|^2 a detector records (time_s,intensity), and either file reads back as
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ TRANSMISSION_HEADER = "detuning_hz,transmission"
 GAIN_HEADER = "detuning_hz,intensity_gain"
 METRICS_HEADER = "metric,value"
 
-# rows formatted, written or parsed per step; bounds the transient text held
+# rows formatted and written per step; bounds the transient text the writer holds
 BLOCK_ROWS = 1024
 
 
@@ -114,19 +115,13 @@ def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
     rows = list(filter(None, lines[1:]))
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows")
-    data = np.empty((len(rows), n_cols), dtype=np.float64)
-    flat = data.reshape(-1)
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        block = list(map(str.split, rows[lo:lo + BLOCK_ROWS], repeat(",")))
-        if set(map(len, block)) != {n_cols}:
-            raise ValidationError(f"{path}: expected {n_cols} columns throughout")
-        k = len(block) * n_cols
-        try:
-            flat[lo * n_cols:lo * n_cols + k] = np.fromiter(
-                map(float, chain.from_iterable(block)), dtype=np.float64, count=k
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{path}: malformed numeric row ({exc})") from exc
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, converters=float)
+    except ValueError as exc:
+        # float's own error names a bad cell; numpy's would count rows from 0
+        raise ValidationError(f"{path}: malformed numeric row ({exc.__cause__ or exc})") from exc
+    if data.shape[1] != n_cols:
+        raise ValidationError(f"{path}: expected {n_cols} columns, got {data.shape[1]}")
     _reject_non_finite(path, data)
     return header, data
 

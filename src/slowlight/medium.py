@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_finite, require_finite_array
+from .errors import SCALE, ValidationError, require_finite, require_finite_array, require_within
 
 _TWO_PI = 2.0 * math.pi
 
@@ -32,8 +32,8 @@ _TWO_PI = 2.0 * math.pi
 class EitMedium:
     """Calibrated channel parameters.
 
-    gamma_eit : half-linewidth of the transparency window, Hz
-    z         : normalized propagation length (optical depth), dimensionless
+    gamma_eit : half-linewidth of the transparency window, Hz, in [1/SCALE, SCALE]
+    z         : normalized propagation length (optical depth), in [0, SCALE]
     scale     : peak intensity transmission in (0, 1]
     """
 
@@ -43,18 +43,21 @@ class EitMedium:
 
     def __post_init__(self) -> None:
         require_finite(self, "gamma_eit", "z")
-        if not self.gamma_eit > 0:
-            raise ValidationError(f"gamma_eit must be positive, got {self.gamma_eit}")
-        if not self.z >= 0:
-            raise ValidationError(f"z must be nonnegative, got {self.z}")
+        require_within(self, 1.0 / SCALE, SCALE, "gamma_eit")
+        require_within(self, 0.0, SCALE, "z")
         if not 0.0 < self.scale <= 1.0:
             raise ValidationError(f"scale must lie in (0, 1], got {self.scale}")
 
 
 def _detunings(delta) -> np.ndarray:
     """delta as float64 detunings in Hz; ValidationError naming the first
-    non-finite one."""
-    return require_finite_array(np.asarray(delta, dtype=np.float64), "detuning")
+    non-finite one, or the first beyond SCALE, where its square overflows."""
+    d = require_finite_array(np.asarray(delta, dtype=np.float64), "detuning")
+    beyond = np.abs(d) > SCALE
+    if beyond.any():
+        raise ValidationError(f"detuning must lie in [{-SCALE:g}, {SCALE:g}], "
+                              f"got {d.flat[int(np.argmax(beyond))]}")
+    return d
 
 
 def amplitude_response(m: EitMedium, delta):

@@ -8,7 +8,8 @@ filtering uses their square root.  propagate is the one dft -> multiply ->
 idft path.  It raises NumericError when energy sits at an edge of the input
 spectrum or the output spectrum (a grid whose Nyquist frequency cuts into
 the pulse's band) or of the output waveform (circular wrap-around of a
-delayed pulse); edge_energy_fraction is the one measure of all three.
+delayed pulse), or when the energy of one of them overflows;
+edge_energy_fraction is the one measure of all three.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ _WINDOW_EDGE = "window; the result may be wrapped circularly"
 
 def edge_energy_fraction(samples) -> float:
     """Share of sum |x|^2 in the outer 5% of the samples, 2.5% at each end;
-    0 for all-zero samples.  Serves waveforms and spectra alike."""
+    0 for all-zero samples and nan when the sum is not finite (it overflowed,
+    or a sample did).  Serves waveforms and spectra alike."""
     x = np.asarray(samples)
-    total = np.vdot(x, x).real
+    total = float(np.vdot(x, x).real)
     if total == 0.0:
         return 0.0
+    if not total < math.inf:
+        return math.nan
     m = max(1, math.ceil(0.025 * x.size))
     head, tail = x[:m], x[-m:]
     return float((np.vdot(head, head).real + np.vdot(tail, tail).real) / total)
@@ -56,10 +60,14 @@ def edge_energy_fraction(samples) -> float:
 
 def _require_inside(label: str, samples, edge: str) -> None:
     """Raise NumericError naming `label` when more than _EDGE_ENERGY_LIMIT
-    of the energy of samples lies at their edges, or when that fraction is
-    not finite (an energy sum that overflowed)."""
+    of the energy of samples lies at their edges, or when that energy
+    overflowed."""
     fraction = edge_energy_fraction(samples)
-    if not fraction <= _EDGE_ENERGY_LIMIT:
+    if math.isnan(fraction):
+        raise NumericError(
+            f"the {label} energy sum overflowed float64; the pulse amplitude is too large"
+        )
+    if fraction > _EDGE_ENERGY_LIMIT:
         raise NumericError(
             f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"
         )
@@ -101,18 +109,21 @@ def propagate_spectrum(s_in: Spectrum, ch: Channel) -> Spectrum:
 def propagate(w: Waveform, ch: Channel) -> tuple[Spectrum, Spectrum, Waveform]:
     """Input spectrum, output spectrum and output waveform of w through ch.
 
-    The output waveform may be complex.  Raises NumericError when more than
-    1e-6 of the energy of the input spectrum, the output spectrum or the
-    output waveform, checked in that order, sits in its outer 5%: at the
-    Nyquist edge the grid undersamples the pulse's band, and at the window
-    edge a delayed pulse has wrapped around circularly.
+    The output waveform may be complex.  Raises NumericError when the energy
+    of the input spectrum, the output spectrum or the output waveform,
+    checked in that order, overflows or has more than 1e-6 of itself in its
+    outer 5%: at the Nyquist edge the grid undersamples the pulse's band,
+    and at the window edge a delayed pulse has wrapped around circularly.
     """
-    s_in = dft(w)
-    _require_inside("input spectrum", s_in.samples, _NYQUIST_EDGE)
-    s_out = propagate_spectrum(s_in, ch)
-    _require_inside("output spectrum", s_out.samples, _NYQUIST_EDGE)
-    output = idft(s_out)
-    _require_inside("output waveform", output.samples, _WINDOW_EDGE)
+    # an overflow inside the transforms makes the next guard's energy sum
+    # non-finite, so numpy's warnings would only repeat that guard's error
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_in = dft(w)
+        _require_inside("input spectrum", s_in.samples, _NYQUIST_EDGE)
+        s_out = propagate_spectrum(s_in, ch)
+        _require_inside("output spectrum", s_out.samples, _NYQUIST_EDGE)
+        output = idft(s_out)
+        _require_inside("output waveform", output.samples, _WINDOW_EDGE)
     return s_in, s_out, output
 
 

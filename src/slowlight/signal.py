@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_finite, require_finite_array
+from .errors import SCALE, ValidationError, require_finite, require_finite_array, require_within
 
 LN2 = math.log(2.0)
 
@@ -44,7 +44,8 @@ class SamplingGrid:
     """Uniform time lattice with its conjugate detuning lattice.
 
     The n time samples start at t_start with spacing dt; n is a power of
-    two from 8 to MAX_GRID_N.  The conjugate lattice has spacing
+    two from 8 to MAX_GRID_N, dt lies in [1/SCALE, SCALE] seconds and
+    |t_start| is at most SCALE seconds.  The conjugate lattice has spacing
     df = 1/(n*dt) and spans +-1/(2*dt), with the zero detuning (carrier) bin
     at index n//2.
     """
@@ -59,8 +60,8 @@ class SamplingGrid:
         if self.n > MAX_GRID_N:
             raise ValidationError(f"grid size {self.n} exceeds the cap of {MAX_GRID_N}")
         require_finite(self, "dt", "t_start")
-        if not self.dt > 0:
-            raise ValidationError(f"sample spacing must be positive, got {self.dt}")
+        require_within(self, 1.0 / SCALE, SCALE, "dt")
+        require_within(self, -SCALE, SCALE, "t_start")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_start", float(self.t_start))
@@ -192,10 +193,13 @@ def synth(spec: PulseSpec, grid: SamplingGrid | None = None) -> Waveform:
 
     The unit-peak Gaussian field exp[-ln2 (t-center)^2 / (2 t0^2)]; an AMG
     field is that envelope times 1 + A cos(2 pi f (t-center)), so with
-    mod_depth = 0 it reproduces the Gaussian sample for sample.
+    mod_depth = 0 it reproduces the Gaussian sample for sample.  t0 must lie
+    in [1/SCALE, SCALE] seconds, and |center| and mod_freq at most SCALE.
     """
     if grid is None:
         grid = default_grid(spec)
+    require_within(spec, 1.0 / SCALE, SCALE, "t0")
+    require_within(spec, -SCALE, SCALE, "center", "mod_freq")
     if grid.window < 8.0 * spec.t0:
         raise ValidationError(
             f"grid window {grid.window:.3e} s is shorter than 8*t0 = "

@@ -1,9 +1,9 @@
-"""Block-wise CSV writer and reader against a per-cell reference implementation.
+"""Block-wise CSV writer and one-pass reader against a per-cell reference.
 
 The reference functions below are the straightforward forms of the writer
 (repr of each cell, row by row) and the reader (float() of each cell in a
-nested list): the block-wise io functions must produce the same bytes and
-the same arrays, and fail on the same inputs.
+nested list): the io functions must produce the same bytes and the same
+arrays, and fail on the same inputs.
 """
 
 import re
@@ -140,12 +140,13 @@ def test_reader_parses_like_reference(tmp_path, text):
         "time_s,field\n0.0,1.0\n1e-6\n2e-6,3.0\n",
         "time_s,field\n0.0,1.0\n1e-6,2.0,3.0\n",
         "time_s,field\n0.0,1.0,2.0\n1e-6\n",
+        "time_s,field\n0.0,1.0,2.0\n1e-6,2.0,3.0\n",
         "time_s,field\n0.0,1.0\n1e-6,oops\n",
         "time_s,field\n0.0,1.0\n   \n",
         "time_s,field\n0.0,1.0\n",
         "time_s,field\n",
     ],
-    ids=["header", "short-row", "long-row", "long-then-short-row", "malformed-cell",
+    ids=["header", "short-row", "long-row", "long-then-short-row", "wide-rows", "malformed-cell",
          "blank-cells", "one-row", "no-rows"],
 )
 def test_reader_rejects_like_reference(tmp_path, text):
@@ -155,6 +156,60 @@ def test_reader_rejects_like_reference(tmp_path, text):
         reference_read(path, {"time_s,field"})
     with pytest.raises(ValidationError, match=re.escape(str(path))):
         _read_csv(path, {"time_s,field"})
+
+
+# cells that are not plain float reprs; Python's float accepts some of them
+ODD_CELLS = ("", " ", "#", "#1.0", "1.0#", '"1.0"', "'1.0'", "1__0", "_1", "1_", "1.0e",
+             "nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "infinity", "0x10")
+
+
+@st.composite
+def csv_cells(draw):
+    if draw(st.integers(0, 15)) == 15:
+        return draw(st.sampled_from(ODD_CELLS))
+    text = repr(float(draw(finite)))
+    # an underscore between two digits is part of Python's float grammar
+    i = draw(st.integers(0, len(text)))
+    if 0 < i < len(text) and text[i - 1].isdigit() and text[i].isdigit():
+        text = text[:i] + "_" + text[i:]
+    pad = st.sampled_from(["", " ", "\t", " \t", "\t "])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def csv_texts(draw):
+    n_cols = draw(st.sampled_from(sorted(HEADERS)))
+    # now and then the header names the other column count
+    header_cols = {2: 3, 3: 2}[n_cols] if draw(st.integers(0, 9)) == 9 else n_cols
+    lines = [draw(st.sampled_from(["", " "])) + HEADERS[header_cols]]
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.integers(0, 5)) == 5:
+            lines.append("")
+        ragged = draw(st.integers(0, 19)) == 19
+        width = draw(st.integers(1, n_cols + 1)) if ragged else n_cols
+        lines.append(",".join(draw(csv_cells()) for _ in range(width)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=csv_texts())
+def test_reader_grammar_matches_reference(csv_file, text):
+    headers = set(HEADERS.values())
+    csv_file.write_bytes(text.encode("ascii"))
+    try:
+        expected = reference_read(csv_file, headers)
+    except ValidationError:
+        expected = None
+    if expected is not None and not np.isfinite(expected[1]).all():
+        expected = None  # the reader also rejects non-finite cells
+    if expected is None:
+        with pytest.raises(ValidationError, match=re.escape(str(csv_file))):
+            _read_csv(csv_file, headers)
+    else:
+        header, data = _read_csv(csv_file, headers)
+        assert header == expected[0]
+        assert data.tobytes() == expected[1].tobytes()
 
 
 def test_ragged_row_past_first_block_is_rejected(tmp_path):

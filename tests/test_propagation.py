@@ -260,9 +260,20 @@ def test_a_nan_sample_never_reaches_propagate():
 
 
 def test_overflowing_spectrum_is_numeric_error():
-    # finite samples whose spectrum overflows: the edge fraction is inf/inf = nan
+    # finite samples whose spectrum overflows: the guard names the overflow,
+    # and numpy's fft and multiply warnings stay silent
     w, channel = _fig2a()
     huge = Waveform(w.grid, w.samples * 1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="nan of the input spectrum energy"):
-            propagate(huge, channel)
+    with pytest.raises(NumericError, match="the input spectrum energy sum overflowed"):
+        propagate(huge, channel)
+
+
+@pytest.mark.parametrize(
+    "scale,label", [(1e160, "input spectrum"), (1e155, "output waveform")]
+)
+def test_energy_sum_overflow_with_finite_edges_is_numeric_error(scale, label):
+    # finite samples whose sum |x|^2 overflows while the edge sums do not:
+    # their edge fraction, finite / inf, would read 0 and pass the edge test
+    w, channel = _fig2a()
+    with pytest.raises(NumericError, match=f"the {label} energy sum overflowed"):
+        propagate(Waveform(w.grid, w.samples * scale), channel)
