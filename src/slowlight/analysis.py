@@ -4,7 +4,9 @@ Compensation divides the output intensity spectrum by the channel's intensity
 transmission, clamped below at a floor so far-detuned bins are never amplified
 by more than 1/floor.  Recovery applies the same division at field level
 (square roots), keeping the propagated phase, and transforms back to the time
-domain.
+domain.  Decomposition splits an AMG spectrum at check_band_plan's bands,
+after checking that each sideband holds at least 1e-6 of the input and the
+output spectrum's energy, the share errors.energy_share takes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, require_finite_array
+from .errors import NumericError, ValidationError, energy_share, require_finite_array
 from .signal import SamplingGrid, Waveform, _handover
 from .spectral import (
     Spectrum,
@@ -23,7 +25,6 @@ from .spectral import (
     dft,
     fwhm,
     idft,
-    intensity_spectrum,
     peak_location,
 )
 
@@ -116,16 +117,13 @@ _MIN_SIDEBAND_ENERGY = 1e-6
 
 def _require_sidebands(s_in: Spectrum, s_out: Spectrum, bands) -> None:
     """Reject a spectrum whose left or right band holds less than
-    _MIN_SIDEBAND_ENERGY of its energy."""
+    _MIN_SIDEBAND_ENERGY of its energy (errors.energy_share), or whose
+    energy is zero or overflowed."""
     deltas = s_out.detunings()
     for label, s in (("input", s_in), ("output", s_out)):
-        power = intensity_spectrum(s)
-        total = float(np.sum(power))
-        if total == 0.0:
-            raise ValidationError(f"{label} spectrum is identically zero")
         for side in ("left", "right"):
-            frac = float(np.sum(power[_band_slice(deltas, *bands[side])])) / total
-            if frac < _MIN_SIDEBAND_ENERGY:
+            frac = energy_share(s.samples, _band_slice(deltas, *bands[side]))
+            if not frac >= _MIN_SIDEBAND_ENERGY:  # nan, an overflowed sum, fails too
                 raise ValidationError(
                     f"{side} sideband of the {label} spectrum carries only "
                     f"{frac:.2e} of the total energy; not an AMG pulse"

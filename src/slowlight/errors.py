@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the finite-value checks."""
+"""Exception types shared across the package, the finite-value checks, and
+the one energy guard.
+
+energy_share is the one measure of where an array's energy lies: the share
+of its sum |x|^2 in given slices.  require_inside applies it to the outer 5%
+of an array, edge_energy_fraction's slices; synth guards its pulse with it,
+propagate its input waveform, both spectra and its output waveform, and
+the sideband check of decompose takes the same share over each band.
+"""
 
 import math
 
@@ -14,7 +22,7 @@ class ValidationError(SlowlightError, ValueError):
 
 
 class NumericError(SlowlightError, ArithmeticError):
-    """A numeric guard fired (e.g. a pulse truncated by its window)."""
+    """A numeric guard fired (e.g. a propagated pulse wrapped around its window)."""
 
 
 def require_finite(obj, *fields: str) -> None:
@@ -50,3 +58,45 @@ def require_finite_array(arr: np.ndarray, what: str) -> np.ndarray:
         where = f" at index {i}" if arr.ndim else ""
         raise ValidationError(f"{what} must be finite, got {arr.flat[i]}{where}")
     return arr
+
+
+# share of an array's energy tolerated in its outer 5%
+EDGE_ENERGY_LIMIT = 1e-6
+NYQUIST_EDGE = "bins, at the Nyquist frequency; the grid undersamples the pulse"
+WINDOW_EDGE = "window; the pulse is cut off there or wraps around circularly"
+
+
+def energy_share(samples, *parts: slice) -> float:
+    """Share of sum |x|^2 in the given slices of the samples; 0 when that sum is
+    0, and nan when it is not finite (it overflowed, or a sample did)."""
+    x = np.asarray(samples)
+    total = float(np.vdot(x, x).real)
+    if total == 0.0:
+        return 0.0
+    if not total < math.inf:
+        return math.nan
+    return sum(float(np.vdot(x[p], x[p]).real) for p in parts) / total
+
+
+def edge_energy_fraction(samples) -> float:
+    """energy_share of the outer 5% of the samples, 2.5% at each end."""
+    m = max(1, math.ceil(0.025 * np.size(samples)))
+    return energy_share(samples, slice(None, m), slice(-m, None))
+
+
+def require_inside(label: str, samples, edge: str) -> None:
+    """Raise NumericError naming `label` when the samples hold no energy, when
+    their energy overflowed, or when more than EDGE_ENERGY_LIMIT of it lies
+    at their edges, which `edge` names."""
+    fraction = edge_energy_fraction(samples)
+    if math.isnan(fraction):
+        raise NumericError(
+            f"the {label} energy sum overflowed float64; the pulse amplitude is too large"
+        )
+    if fraction > EDGE_ENERGY_LIMIT:
+        raise NumericError(
+            f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"
+        )
+    # the share held by all of the samples is 1, or 0 when they hold no energy
+    if fraction == 0.0 and not energy_share(samples, slice(None)):
+        raise NumericError(f"the {label} holds no energy")

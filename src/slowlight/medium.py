@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,13 +80,23 @@ def group_delay(m: EitMedium, delta):
     the sign changes exactly at |delta| = gamma_eit.
     """
     d = _detunings(delta)
-    g2 = m.gamma_eit**2
+    # a product, rounded as numpy rounds d**2: Python's gamma**2 calls pow,
+    # which rounds 1.7371607681654914e16**2 one unit higher
+    g2 = m.gamma_eit * m.gamma_eit
     return (m.z * m.gamma_eit / _TWO_PI) * (g2 - d**2) / (d**2 + g2) ** 2
 
 
 def intensity_transmission(m: EitMedium, delta):
     """Intensity transmission |H(delta)|^2 = scale * exp[-2 delta^2 z / (delta^2 + gamma^2)]."""
     return amplitude_response(m, delta) ** 2
+
+
+# the shallowest window calibrate_from_transmission fits: its half-width
+# condition spans 2z of exp's range near 1, where float64 steps by 1.1e-16,
+# so below z = 1e-6 the fitted half level drifts by more than 1e-10 of the
+# window's depth (at z = 1.1e-16, background = nextafter(peak, 0), gamma_eit
+# came out 303.1 kHz for a 350 kHz FWHM instead of 175.0 kHz)
+_MIN_CALIBRATED_Z = 1e-6
 
 
 def calibrate_from_transmission(peak: float, background: float, fwhm: float) -> EitMedium:
@@ -96,17 +107,27 @@ def calibrate_from_transmission(peak: float, background: float, fwhm: float) -> 
     scale = peak and z = ln(peak/background)/2 follow directly; the half-width
     condition exp(-2 z x) = (1 + e^(-2z))/2 with x = delta_h^2/(delta_h^2 +
     gamma^2) is solved by bisection on x in (0, 1).
+
+    background must be at least 1/SCALE, so z <= 20.8, and the window at
+    least _MIN_CALIBRATED_Z deep; fwhm must lie in [2/SCALE, SCALE/4], which
+    keeps gamma_eit, between fwhm/2 and 3.9 fwhm, within EitMedium's range.
     """
     if not 0.0 < background < peak <= 1.0:
         raise ValidationError(
             f"need 0 < background < peak <= 1 for a transparency window, "
             f"got peak={peak}, background={background}"
         )
-    if not fwhm > 0:
-        raise ValidationError(f"fwhm must be positive, got {fwhm}")
+    window = SimpleNamespace(background=background, fwhm=fwhm)
+    require_within(window, 1.0 / SCALE, 1.0, "background")
+    require_within(window, 2.0 / SCALE, SCALE / 4.0, "fwhm")
 
     scale = peak
     z = 0.5 * math.log(peak / background)
+    if z < _MIN_CALIBRATED_Z:
+        raise ValidationError(
+            f"background {background} lies above peak * exp(-2e-6) = {peak * math.exp(-2e-6)}: "
+            f"a window shallower than z = {_MIN_CALIBRATED_Z:g} has no resolvable half width"
+        )
     target = 0.5 * (1.0 + math.exp(-2.0 * z))
 
     # exp(-2 z x) - target is monotone decreasing on (0, 1) and brackets 0.

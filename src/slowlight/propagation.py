@@ -5,21 +5,22 @@ The phase always comes from the analytic medium.  The amplitude comes from
 the medium too (the analytic channel), or from a measured transmission table
 (the hybrid channel), whose values are intensity transmission, so field
 filtering uses their square root.  propagate is the one dft -> multiply ->
-idft path.  It raises NumericError when energy sits at an edge of the input
-spectrum or the output spectrum (a grid whose Nyquist frequency cuts into
-the pulse's band) or of the output waveform (circular wrap-around of a
-delayed pulse), or when the energy of one of them overflows;
-edge_energy_fraction is the one measure of all three.
+idft path.  It raises NumericError, through errors.require_inside, when
+energy sits at an edge of the input waveform (a pulse cut by its window),
+of the input or the output spectrum (a grid whose Nyquist frequency cuts
+into the pulse's band) or of the output waveform (circular wrap-around of
+a delayed pulse), or when one of them holds no energy or its energy
+overflows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NYQUIST_EDGE, WINDOW_EDGE, ValidationError, require_inside
+from .errors import edge_energy_fraction  # noqa: F401  (still importable from here)
 from .medium import (
     EitMedium,
     MeasuredTransmission,
@@ -35,42 +36,6 @@ class EdgeEnergyWarning(UserWarning):
     """Never emitted: the edge-energy guards raise NumericError.  Kept only
     because the benchmark in perfbench/ still names it; it goes with the
     benchmark's next change, as does warn_if_wrapped."""
-
-
-# fraction of energy tolerated in the outer 5% of the samples
-_EDGE_ENERGY_LIMIT = 1e-6
-_NYQUIST_EDGE = "bins, at the Nyquist frequency; the grid undersamples the pulse"
-_WINDOW_EDGE = "window; the result may be wrapped circularly"
-
-
-def edge_energy_fraction(samples) -> float:
-    """Share of sum |x|^2 in the outer 5% of the samples, 2.5% at each end;
-    0 for all-zero samples and nan when the sum is not finite (it overflowed,
-    or a sample did).  Serves waveforms and spectra alike."""
-    x = np.asarray(samples)
-    total = float(np.vdot(x, x).real)
-    if total == 0.0:
-        return 0.0
-    if not total < math.inf:
-        return math.nan
-    m = max(1, math.ceil(0.025 * x.size))
-    head, tail = x[:m], x[-m:]
-    return float((np.vdot(head, head).real + np.vdot(tail, tail).real) / total)
-
-
-def _require_inside(label: str, samples, edge: str) -> None:
-    """Raise NumericError naming `label` when more than _EDGE_ENERGY_LIMIT
-    of the energy of samples lies at their edges, or when that energy
-    overflowed."""
-    fraction = edge_energy_fraction(samples)
-    if math.isnan(fraction):
-        raise NumericError(
-            f"the {label} energy sum overflowed float64; the pulse amplitude is too large"
-        )
-    if fraction > _EDGE_ENERGY_LIMIT:
-        raise NumericError(
-            f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"
-        )
 
 
 @dataclass(frozen=True)
@@ -93,40 +58,47 @@ class Channel:
 
 
 def field_response(ch: Channel, delta) -> np.ndarray:
-    """Complex field response A(delta) exp(-i Phi(delta)) at delta (Hz)."""
+    """Complex field response A(delta) exp(-i Phi(delta)) at delta (Hz), built
+    in one complex buffer: -i Phi, its exp, then A times it."""
     if ch.table is None:
         amp = amplitude_response(ch.medium, delta)
     else:
         amp = np.sqrt(transmission_lookup(ch.table, delta))
-    return amp * np.exp(-1j * phase_response(ch.medium, delta))
+    h = np.multiply(-1j, phase_response(ch.medium, delta))
+    buf = h if h.ndim else None  # a scalar delta gives numpy scalars, which have no buffer
+    return np.multiply(amp, np.exp(h, out=buf), out=buf)
 
 
 def propagate_spectrum(s_in: Spectrum, ch: Channel) -> Spectrum:
-    """Bin-wise product of the input spectrum with the channel response."""
-    return _handover(Spectrum, s_in.grid, s_in.samples * field_response(ch, s_in.detunings()))
+    """Bin-wise product of the input spectrum with the channel response,
+    written into the response's buffer."""
+    h = field_response(ch, s_in.detunings())
+    return _handover(Spectrum, s_in.grid, np.multiply(s_in.samples, h, out=h))
 
 
 def propagate(w: Waveform, ch: Channel) -> tuple[Spectrum, Spectrum, Waveform]:
     """Input spectrum, output spectrum and output waveform of w through ch.
 
-    The output waveform may be complex.  Raises NumericError when the energy
-    of the input spectrum, the output spectrum or the output waveform,
-    checked in that order, overflows or has more than 1e-6 of itself in its
-    outer 5%: at the Nyquist edge the grid undersamples the pulse's band,
-    and at the window edge a delayed pulse has wrapped around circularly.
+    The output waveform may be complex.  Raises NumericError when the input
+    waveform, the input spectrum, the output spectrum or the output
+    waveform, checked in that order, holds no energy, overflows or has more
+    than 1e-6 of its energy in its outer 5%: at the window edge the pulse is
+    cut by its window or a delayed pulse has wrapped around circularly, and
+    at the Nyquist edge the grid undersamples the pulse's band.
     """
     # an overflow inside the transforms makes the next guard's energy sum
     # non-finite, so numpy's warnings would only repeat that guard's error
     with np.errstate(over="ignore", invalid="ignore"):
+        require_inside("input waveform", w.samples, WINDOW_EDGE)
         s_in = dft(w)
-        _require_inside("input spectrum", s_in.samples, _NYQUIST_EDGE)
+        require_inside("input spectrum", s_in.samples, NYQUIST_EDGE)
         s_out = propagate_spectrum(s_in, ch)
-        _require_inside("output spectrum", s_out.samples, _NYQUIST_EDGE)
+        require_inside("output spectrum", s_out.samples, NYQUIST_EDGE)
         output = idft(s_out)
-        _require_inside("output waveform", output.samples, _WINDOW_EDGE)
+        require_inside("output waveform", output.samples, WINDOW_EDGE)
     return s_in, s_out, output
 
 
 def warn_if_wrapped(w: Waveform) -> None:
     """propagate's output-waveform guard; kept for the benchmark, see EdgeEnergyWarning."""
-    _require_inside("output waveform", w.samples, _WINDOW_EDGE)
+    require_inside("output waveform", w.samples, WINDOW_EDGE)

@@ -7,7 +7,8 @@ intensity I(t) = e(t)^2.  Two shapes are supported: a plain Gaussian,
 
 whose intensity half-maximum points sit at center +- t0, and an
 amplitude-modulated Gaussian (AMG) whose field is the Gaussian field times
-1 + mod_depth * cos(2*pi*mod_freq*(t - center)).
+1 + mod_depth * cos(2*pi*mod_freq*(t - center)).  synth accepts a pulse
+only when it fits its window by propagate's own rule, errors.require_inside.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SCALE, ValidationError, require_finite, require_finite_array, require_within
+from .errors import SCALE, WINDOW_EDGE, NumericError, ValidationError, require_finite
+from .errors import require_finite_array, require_inside, require_within
 
 LN2 = math.log(2.0)
 
@@ -195,19 +197,22 @@ def synth(spec: PulseSpec, grid: SamplingGrid | None = None) -> Waveform:
     field is that envelope times 1 + A cos(2 pi f (t-center)), so with
     mod_depth = 0 it reproduces the Gaussian sample for sample.  t0 must lie
     in [1/SCALE, SCALE] seconds, and |center| and mod_freq at most SCALE.
+    The samples pass propagate's window guard, errors.require_inside: they
+    hold energy, and at most 1e-6 of it lies in their outer 5%.
     """
     if grid is None:
         grid = default_grid(spec)
     require_within(spec, 1.0 / SCALE, SCALE, "t0")
     require_within(spec, -SCALE, SCALE, "center", "mod_freq")
-    if grid.window < 8.0 * spec.t0:
-        raise ValidationError(
-            f"grid window {grid.window:.3e} s is shorter than 8*t0 = "
-            f"{8.0 * spec.t0:.3e} s; the pulse would be truncated"
-        )
     tau = grid.times() - spec.center
     samples = np.exp(-LN2 * tau**2 / (2.0 * spec.t0**2))
     if spec.kind == AMG:
         samples = samples * (1.0 + spec.mod_depth * np.cos(2.0 * math.pi * spec.mod_freq * tau))
+    try:
+        require_inside("pulse", samples, WINDOW_EDGE)
+    except NumericError as exc:
+        raise ValidationError(f"pulse t0 = {spec.t0:.3e} s centred at {spec.center:.3e} s does "
+                              f"not fit the {grid.window:.3e} s window from "
+                              f"{grid.t_start:.3e} s: {exc}") from None
     return Waveform(grid, samples)
 

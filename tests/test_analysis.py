@@ -1,6 +1,7 @@
 """Compensation, recovery, decomposition, and pulse metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,16 @@ def test_decompose_rejects_plain_gaussian(calibrated, gauss_spec):
     grid, w, s_in, s_out, _ = _propagated(gauss_spec, calibrated)
     with pytest.raises(ValidationError):
         decompose_components(s_out, s_in, MOD_FREQ)
+
+
+@pytest.mark.parametrize("factor,share", [(0.0, "0.00e+00"), (1e200, "nan")])
+def test_decompose_rejects_a_zero_or_overflowing_spectrum(calibrated, amg_spec, factor, share):
+    # an all-zero spectrum has no sideband share; an overflowing one has a nan
+    # share, which the old check (frac < limit) let through
+    grid, w, s_in, s_out, _ = _propagated(amg_spec, calibrated)
+    message = f"left sideband of the input spectrum carries only {share} of the total energy"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        decompose_components(s_out, Spectrum(grid, s_in.samples * factor), MOD_FREQ)
 
 
 def test_decompose_rejects_mismatched_grids(calibrated, amg_spec):

@@ -513,7 +513,7 @@ def test_propagate_overflowing_field_is_numeric_error(tmp_path, capsys, gauss_sp
     assert code == 3
     # numpy's overflow warnings stay silent: the guard's line is the only report
     assert capsys.readouterr().err.splitlines() == [
-        "slowlight: error[numeric]: the input spectrum energy sum overflowed float64; "
+        "slowlight: error[numeric]: the input waveform energy sum overflowed float64; "
         "the pulse amplitude is too large"
     ]
 
@@ -527,3 +527,32 @@ def test_propagate_negative_intensity_file_is_validation_error(tmp_path, capsys)
                  "--z", "0.9083", "--out", str(tmp_path / "o.csv")]) == 2
     assert (f"error[validation]: {path}: intensity samples must be nonnegative"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("window_us,code", [("55.25", 2), ("58.5", 0)])  # 8.5 t0, 9 t0
+def test_synth_window_guard_is_the_propagate_guard(tmp_path, capsys, window_us, code):
+    # 8.5 t0 leaves 1.47e-6 of the energy in the window's outer 5%, 9 t0 3.8e-7
+    out = tmp_path / "g.csv"
+    assert main(["synth", "--kind", "gaussian", "--t0-us", "6.5", "--n", "1024",
+                 "--window-us", window_us, "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith(
+            "slowlight: error[validation]: pulse t0 = 6.500e-06 s centred at 0.000e+00 s "
+            "does not fit the 5.525e-05 s window from -2.762e-05 s: 1.47e-06 of the pulse "
+            "energy lies in the outer 5% of the window"), err
+        assert not out.exists()
+    else:
+        assert err == [] and out.exists()
+
+
+def test_propagate_all_zero_field_is_numeric_error(tmp_path, capsys):
+    grid = SamplingGrid(n=64, dt=1e-6)
+    path = tmp_path / "zero.csv"
+    write_waveform_csv(path, Waveform(grid, np.zeros(64)))
+    assert main(["propagate", "--input", str(path), "--gamma-khz", "268.2",
+                 "--z", "0.9083", "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "slowlight: error[numeric]: the input waveform holds no energy"
+    ]
+    assert not (tmp_path / "o.csv").exists()

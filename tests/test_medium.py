@@ -1,6 +1,7 @@
 """Channel model: response functions, group delay, calibration, lookup."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ def test_group_delay_examples():
         assert group_delay(m, sign * 700e3) == pytest.approx(-0.0513e-6, abs=1e-10)
 
 
+def test_group_delay_is_zero_exactly_at_gamma():
+    # pow rounds 1.7371607681654914e16**2 one unit above the product that
+    # numpy forms for delta**2, which left 2.7e-34 s at delta = +-gamma
+    gamma = 1.7371607681654914e16
+    m = EitMedium(gamma_eit=gamma, z=1.0)
+    assert group_delay(m, gamma) == 0.0 == group_delay(m, -gamma)
+
+
 def test_group_delay_vs_finite_difference():
     # oracle: central finite difference of the phase, step gamma * 1e-6
     m = EitMedium(gamma_eit=GAMMA, z=Z, scale=0.8)
@@ -182,6 +191,19 @@ def test_calibration_z_closed_form():
 )
 def test_calibration_rejects(peak, background, fwhm):
     with pytest.raises(ValidationError):
+        calibrate_from_transmission(peak, background, fwhm)
+
+
+@pytest.mark.parametrize("peak,background,fwhm,message", [
+    (0.615, 0.10, math.inf, "fwhm must lie in [2e-18, 2.5e+17], got inf"),
+    (0.615, 0.10, 1e300, "fwhm must lie in [2e-18, 2.5e+17], got 1e+300"),
+    (0.615, 5e-324, 350e3, "background must lie in [1e-18, 1], got 5e-324"),
+    # z = 1.1e-16: the bisection gave gamma_eit = 303.1 kHz, not 175.0 kHz
+    (0.615, math.nextafter(0.615, 0.0), 350e3,
+     "background 0.6149999999999999 lies above peak * exp(-2e-6)"),
+])
+def test_calibration_names_the_input_outside_its_domain(peak, background, fwhm, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         calibrate_from_transmission(peak, background, fwhm)
 
 

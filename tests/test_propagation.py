@@ -1,5 +1,6 @@
 """Channel application: spectral filtering, delays, energy, wrap guard."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -186,15 +187,30 @@ def test_sideband_band_delays_match_group_delay(amg_spec, amg_grid, calibrated):
 
 
 def test_wrap_guard_on_edge_energy(calibrated):
-    # park the pulse near the window edge so the filtered output leaks around
-    # (its truncation also puts energy at the Nyquist edge of its spectrum)
+    # a pulse parked near the window edge: synth rejects its spec, and the
+    # same field built directly is rejected by propagate's first guard
     spec = PulseSpec(AMG, 2e-6, mod_depth=1.0, mod_freq=MOD_FREQ)
     grid = default_grid(spec)
-    late = PulseSpec(AMG, 2e-6, mod_depth=1.0, mod_freq=MOD_FREQ,
-                     center=grid.t_start + grid.window - 2.5e-6)
-    w = synth(late, grid)
-    with pytest.raises(NumericError):
-        propagate(w, Channel.analytic(calibrated))
+    center = grid.t_start + grid.window - 2.5e-6
+    with pytest.raises(ValidationError, match="does not fit .* of the pulse energy lies in "
+                                              "the outer 5% of the window"):
+        synth(dataclasses.replace(spec, center=center), grid)
+    tau = grid.times() - center
+    field = (np.exp(-math.log(2.0) * tau**2 / (2 * (2e-6) ** 2))
+             * (1.0 + np.cos(2 * math.pi * MOD_FREQ * tau)))
+    with pytest.raises(NumericError, match="of the input waveform energy lies in the outer 5% "
+                                           "of the window"):
+        propagate(Waveform(grid, field), Channel.analytic(calibrated))
+
+
+def test_pulse_cut_by_its_window_is_blamed_on_the_window(calibrated):
+    # synth rejects this spec; built directly, the field is cut by its window
+    # edge, and propagate says so before its spectrum is taken
+    grid = SamplingGrid(n=256, dt=0.5e-6, t_start=-64e-6)
+    field = np.exp(-math.log(2.0) * (grid.times() - 60e-6) ** 2 / (2 * 6.5e-6**2))
+    with pytest.raises(NumericError, match=r"^3.11e-01 of the input waveform energy lies in the "
+                                           "outer 5% of the window"):
+        propagate(Waveform(grid, field), Channel(calibrated))
 
 
 def test_edge_energy_fraction():
@@ -260,20 +276,25 @@ def test_a_nan_sample_never_reaches_propagate():
 
 
 def test_overflowing_spectrum_is_numeric_error():
-    # finite samples whose spectrum overflows: the guard names the overflow,
-    # and numpy's fft and multiply warnings stay silent
+    # finite samples whose energy overflows: the first guard, on the input
+    # waveform, names the overflow, and numpy's fft and multiply warnings
+    # stay silent
     w, channel = _fig2a()
     huge = Waveform(w.grid, w.samples * 1e308)
-    with pytest.raises(NumericError, match="the input spectrum energy sum overflowed"):
+    with pytest.raises(NumericError, match="the input waveform energy sum overflowed"):
         propagate(huge, channel)
 
 
 @pytest.mark.parametrize(
-    "scale,label", [(1e160, "input spectrum"), (1e155, "output waveform")]
+    "scale,label", [(1e155, "input waveform"), (1e153, "input spectrum")]
 )
 def test_energy_sum_overflow_with_finite_edges_is_numeric_error(scale, label):
     # finite samples whose sum |x|^2 overflows while the edge sums do not:
-    # their edge fraction, finite / inf, would read 0 and pass the edge test
-    w, channel = _fig2a()
+    # their edge fraction, finite / inf, would read 0 and pass the edge test.
+    # By Parseval the spectrum's sum is n dt^2 = 512 times the waveform's
+    # on this grid, so at 1e153 only the spectrum's overflows.  With |H| <= 1
+    # neither output sum exceeds its input's, so they cannot overflow first.
+    grid = SamplingGrid(n=512, dt=1.0, t_start=-256.0)
+    field = np.exp(-math.log(2.0) * grid.times() ** 2 / (2 * 16.0**2))  # t0 = 16 s
     with pytest.raises(NumericError, match=f"the {label} energy sum overflowed"):
-        propagate(Waveform(w.grid, w.samples * scale), channel)
+        propagate(Waveform(grid, field * scale), _fig2a()[1])

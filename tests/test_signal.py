@@ -1,6 +1,7 @@
 """Pulse synthesis, grids and waveform samples."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from slowlight import (
 )
 from slowlight.io import INTENSITY_HEADER, read_timeseries_csv
 from slowlight.scenario import pulse_grid
+from slowlight.errors import edge_energy_fraction
 from slowlight.signal import MAX_GRID_N
 
 LN2 = math.log(2.0)
@@ -192,6 +194,33 @@ def test_synth_rejects_short_window(gauss_spec, amg_spec):
         synth(gauss_spec, grid)
     with pytest.raises(ValidationError):
         synth(amg_spec, grid)
+
+
+@pytest.mark.parametrize("center,cause", [
+    (1.0, "the pulse holds no energy"),  # every sample underflows to 0
+    (60e-6, "3.11e-01 of the pulse energy lies in the outer 5% of the window"),  # cut
+])
+def test_synth_rejects_a_pulse_off_or_cut_by_its_window(center, cause):
+    grid = SamplingGrid(n=256, dt=0.5e-6, t_start=-64e-6)
+    message = (f"pulse t0 = 6.500e-06 s centred at {center:.3e} s does not fit the "
+               f"1.280e-04 s window from -6.400e-05 s: {cause}")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        synth(PulseSpec(GAUSSIAN, T0, center=center), grid)
+
+
+@pytest.mark.parametrize("window_t0,fits", [(8.5, False), (9.0, True)])
+def test_synth_window_rule_is_the_edge_energy_guard(window_t0, fits):
+    # a centred window of 8.5 t0 leaves 1.47e-6 of the energy in its outer
+    # 5%, above the guard's 1e-6; 9 t0 leaves 3.8e-7
+    window = window_t0 * T0
+    grid = SamplingGrid(n=1024, dt=window / 1024, t_start=-window / 2)
+    field = np.exp(-LN2 * grid.times() ** 2 / (2 * T0**2))
+    assert (edge_energy_fraction(field) < 1e-6) == fits
+    if fits:
+        synth(PulseSpec(GAUSSIAN, T0), grid)
+    else:
+        with pytest.raises(ValidationError, match="1.47e-06 of the pulse energy"):
+            synth(PulseSpec(GAUSSIAN, T0), grid)
 
 
 @pytest.mark.parametrize("depth,mod_freq", [(1.0, 120e3), (0.8, 90e3), (1.0, MOD_FREQ)])
