@@ -6,7 +6,10 @@ by more than 1/floor.  Recovery applies the same division at field level
 (square roots), keeping the propagated phase, and transforms back to the time
 domain.  Decomposition splits an AMG spectrum at check_band_plan's bands,
 after checking that each sideband holds at least 1e-6 of the input and the
-output spectrum's energy, the share errors.energy_share takes.
+output spectrum's energy, the share errors.energy_share takes; its four
+components come from one batched inverse transform and share one read-only
+buffer.  Metrics square the samples in place and raise NumericError naming
+the waveform whose energy sum overflows.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, energy_share, require_finite_array
+from .errors import NumericError, ValidationError, energy_share, overflowed
+from .errors import require_finite_array
 from .signal import SamplingGrid, Waveform, _handover
 from .spectral import (
     Spectrum,
     _band_slice,
-    band_extract,
+    _idft_bands,
+    _unit_phasor,
     dft,
     fwhm,
     idft,
@@ -115,14 +120,13 @@ class ComponentDecomposition:
 _MIN_SIDEBAND_ENERGY = 1e-6
 
 
-def _require_sidebands(s_in: Spectrum, s_out: Spectrum, bands) -> None:
-    """Reject a spectrum whose left or right band holds less than
-    _MIN_SIDEBAND_ENERGY of its energy (errors.energy_share), or whose
-    energy is zero or overflowed."""
-    deltas = s_out.detunings()
+def _require_sidebands(s_in: Spectrum, s_out: Spectrum, slices: dict[str, slice]) -> None:
+    """Reject a spectrum whose left or right band, a slice of its bins, holds
+    less than _MIN_SIDEBAND_ENERGY of its energy (errors.energy_share), or
+    whose energy is zero or overflowed."""
     for label, s in (("input", s_in), ("output", s_out)):
         for side in ("left", "right"):
-            frac = energy_share(s.samples, _band_slice(deltas, *bands[side]))
+            frac = energy_share(s.samples, slices[side])
             if not frac >= _MIN_SIDEBAND_ENERGY:  # nan, an overflowed sum, fails too
                 raise ValidationError(
                     f"{side} sideband of the {label} spectrum carries only "
@@ -167,18 +171,24 @@ def decompose_components(
     """
     if s_out.grid != s_in.grid:
         raise ValidationError("output and input spectra must share one grid")
-    bands = check_band_plan(s_out.grid, mod_freq)
-    _require_sidebands(s_in, s_out, bands)
+    grid = s_out.grid
+    deltas = grid.detunings()
+    slices = {name: _band_slice(deltas, *band)
+              for name, band in check_band_plan(grid, mod_freq).items()}
+    del deltas  # not held through the transform
+    _require_sidebands(s_in, s_out, slices)
 
-    reference = idft(band_extract(s_in, *bands["carrier"]))
-    carrier = idft(band_extract(s_out, *bands["carrier"]))
-    left = idft(band_extract(s_out, *bands["left"]))
-    right = idft(band_extract(s_out, *bands["right"]))
+    reference, carrier, left, right = _idft_bands(grid, [
+        (s_in, slices["carrier"]),
+        (s_out, slices["carrier"]),
+        (s_out, slices["left"]),
+        (s_out, slices["right"]),
+    ])
 
-    t = s_out.grid.times()
-    t_ref = peak_location(t, np.abs(reference.samples) ** 2)
+    t = grid.times()
+    t_ref = peak_location(t, _intensity(reference.samples))
     delays = [
-        peak_location(t, np.abs(w.samples) ** 2) - t_ref for w in (carrier, left, right)
+        peak_location(t, _intensity(w.samples)) - t_ref for w in (carrier, left, right)
     ]
     return ComponentDecomposition(
         carrier=carrier,
@@ -191,13 +201,33 @@ def decompose_components(
     )
 
 
+def _intensity(samples: np.ndarray) -> np.ndarray:
+    """|x|^2 per sample, squared in place in the array np.abs returns."""
+    i = np.abs(samples)
+    return np.square(i, out=i)
+
+
+def _intensity_sum(w: Waveform, label: str) -> tuple[np.ndarray, np.floating]:
+    """The intensity of w and its sum; NumericError naming the `label`
+    waveform when that sum is not finite."""
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        i = _intensity(w.samples)
+        total = np.sum(i)
+    if not total < math.inf:
+        raise overflowed(f"{label} waveform")
+    return i, total
+
+
 def _shift_waveform(w: Waveform, shift: float) -> Waveform:
-    """Translate a waveform by `shift` seconds via the spectral shift theorem."""
+    """Translate a waveform by `shift` seconds via the spectral shift theorem,
+    with the phase (-2 pi delta) * shift taken in the detunings' array."""
     s = dft(w)
-    shifted = np.multiply(-1j * _TWO_PI, s.detunings())
-    shifted *= shift
-    np.exp(shifted, out=shifted)
+    theta = s.detunings()
+    theta *= -_TWO_PI
+    theta *= shift
+    shifted = _unit_phasor(theta)
     np.multiply(s.samples, shifted, out=shifted)
+    del s, theta  # freed before idft allocates its buffer
     return idft(_handover(Spectrum, w.grid, shifted))
 
 
@@ -207,27 +237,29 @@ def measure_metrics(out: Waveform, reference: Waveform) -> PulseMetrics:
     The shape error is the RMS difference of the two unit-peak intensity
     profiles after shifting the output back by the measured delay, taken over
     the region holding the central 99% of the reference energy; a reference
-    so concentrated that the region holds no sample is a NumericError.
+    so concentrated that the region holds no sample is a NumericError, and
+    so is a waveform whose energy sum overflows float64.
     """
     if out.grid != reference.grid:
         raise ValidationError("output and reference waveforms must share one grid")
     dt = out.grid.dt
-    i_ref = np.abs(reference.samples) ** 2
-    i_out = np.abs(out.samples) ** 2
-    ref_energy = float(np.sum(i_ref) * dt)  # reference.energy(), from i_ref
+    i_ref, ref_sum = _intensity_sum(reference, "reference")
+    ref_energy = float(ref_sum * dt)  # reference.energy(), from i_ref
     if ref_energy == 0.0:
         raise ValidationError("reference waveform is identically zero")
+    i_out, out_sum = _intensity_sum(out, "output")
 
     t = out.grid.times()
     delay = peak_location(t, i_out) - peak_location(t, i_ref)
-    loss = 1.0 - float(np.sum(i_out) * dt) / ref_energy
+    loss = 1.0 - float(out_sum * dt) / ref_energy
 
-    i_aligned = np.abs(_shift_waveform(out, -delay).samples) ** 2
+    i_aligned = _intensity(_shift_waveform(out, -delay).samples)
     peak_aligned = float(np.max(i_aligned))
     if peak_aligned == 0.0:
         raise ValidationError("output waveform is identically zero")
 
-    cumulative = np.cumsum(i_ref) * dt
+    cumulative = np.cumsum(i_ref)
+    cumulative *= dt
     total = cumulative[-1]
     support = (cumulative >= 0.005 * total) & (cumulative <= 0.995 * total)
     if not support.any():

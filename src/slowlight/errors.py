@@ -84,15 +84,20 @@ def edge_energy_fraction(samples) -> float:
     return energy_share(samples, slice(None, m), slice(-m, None))
 
 
+def overflowed(label: str) -> NumericError:
+    """The error for a `label` array whose energy sum is not finite."""
+    return NumericError(
+        f"the {label} energy sum overflowed float64; the pulse amplitude is too large"
+    )
+
+
 def require_inside(label: str, samples, edge: str) -> None:
     """Raise NumericError naming `label` when the samples hold no energy, when
     their energy overflowed, or when more than EDGE_ENERGY_LIMIT of it lies
     at their edges, which `edge` names."""
     fraction = edge_energy_fraction(samples)
     if math.isnan(fraction):
-        raise NumericError(
-            f"the {label} energy sum overflowed float64; the pulse amplitude is too large"
-        )
+        raise overflowed(label)
     if fraction > EDGE_ENERGY_LIMIT:
         raise NumericError(
             f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"

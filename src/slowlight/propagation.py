@@ -29,7 +29,7 @@ from .medium import (
     transmission_lookup,
 )
 from .signal import Waveform, _handover
-from .spectral import Spectrum, dft, idft
+from .spectral import Spectrum, _unit_phasor, dft, idft
 
 
 class EdgeEnergyWarning(UserWarning):
@@ -59,14 +59,16 @@ class Channel:
 
 def field_response(ch: Channel, delta) -> np.ndarray:
     """Complex field response A(delta) exp(-i Phi(delta)) at delta (Hz), built
-    in one complex buffer: -i Phi, its exp, then A times it."""
+    in one complex buffer: the unit phasor of -Phi, then A times it."""
     if ch.table is None:
         amp = amplitude_response(ch.medium, delta)
     else:
         amp = np.sqrt(transmission_lookup(ch.table, delta))
-    h = np.multiply(-1j, phase_response(ch.medium, delta))
-    buf = h if h.ndim else None  # a scalar delta gives numpy scalars, which have no buffer
-    return np.multiply(amp, np.exp(h, out=buf), out=buf)
+    phi = phase_response(ch.medium, delta)
+    if not phi.ndim:  # a scalar delta gives numpy scalars, which have no buffer
+        return np.multiply(amp, np.exp(np.multiply(-1j, phi)))
+    h = _unit_phasor(np.negative(phi, out=phi))
+    return np.multiply(amp, h, out=h)
 
 
 def propagate_spectrum(s_in: Spectrum, ch: Channel) -> Spectrum:

@@ -14,13 +14,16 @@ The phase ramps over the grid's detunings, inverse = exp(+i 2 pi delta_k t_0)
 and forward = dt * conj(inverse), come from one complex exp and are
 memoised together for the last grid, so the transforms of one pipeline
 build them once.  SamplingGrid caps n at 2**22, which bounds the memo at two
-64 MiB arrays.  Each transform writes into one fresh buffer: dft multiplies
-the forward ramp by the FFT with its halves swapped (the FFT shift), and
-idft writes samples * inverse with swapped halves and runs the inverse FFT
-in place.  Complex multiply is not bitwise commutative, so those operand
-orders fix the output bits.  Library functions hand the arrays they have
-just built to Spectrum and Waveform without a copy; the public constructors
-copy.
+64 MiB arrays.  dft and idft each write into one fresh buffer: dft
+multiplies the forward ramp by the FFT with its halves swapped (the FFT
+shift), and idft writes samples * inverse with swapped halves and runs the
+inverse FFT in place.  The band transform of a decomposition writes the
+in-band bins of several spectra the same way into the rows of one zeroed
+buffer and runs one inverse FFT over the rows, which gives each row the
+bits of idft(band_extract(...)).  Complex multiply is not bitwise
+commutative, so those operand orders fix the output bits.  Library
+functions hand the arrays they have just built to Spectrum and Waveform
+without a copy; the public constructors copy.
 """
 
 from __future__ import annotations
@@ -72,6 +75,16 @@ def _memo_ramps(grid: SamplingGrid, zero_sign: float) -> tuple[np.ndarray, np.nd
     return forward, inverse
 
 
+def _unit_phasor(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) as cos(theta) and sin(theta) written into the real and
+    imaginary parts of one complex buffer; bit for bit the np.exp of
+    +0 + i theta on the platforms tests/test_spectral.py accepts."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def dft(w: Waveform) -> Spectrum:
     """Forward transform of a waveform onto its grid's detuning lattice."""
     grid = w.grid
@@ -83,6 +96,14 @@ def dft(w: Waveform) -> Spectrum:
     return _handover(Spectrum, grid, out)
 
 
+def _inverse_fft(buf: np.ndarray, dt: float) -> np.ndarray:
+    """The inverse FFT of each row of buf, in place, divided by dt: buf holds
+    FFT-shifted spectrum bins already multiplied by the inverse ramp."""
+    np.fft.ifft(buf, axis=-1, out=buf)
+    buf /= dt
+    return buf
+
+
 def idft(s: Spectrum) -> Waveform:
     """Inverse transform; exact inverse of dft up to float rounding."""
     grid = s.grid
@@ -90,9 +111,7 @@ def idft(s: Spectrum) -> Waveform:
     out = np.empty_like(s.samples)
     np.multiply(s.samples[h:], inverse[h:], out=out[:h])
     np.multiply(s.samples[:h], inverse[:h], out=out[h:])
-    np.fft.ifft(out, out=out)
-    out /= grid.dt
-    return _handover(Waveform, grid, out)
+    return _handover(Waveform, grid, _inverse_fft(out, grid.dt))
 
 
 def intensity_spectrum(s: Spectrum) -> np.ndarray:
@@ -137,6 +156,25 @@ def band_extract(s: Spectrum, lo: float, hi: float) -> Spectrum:
     out = np.zeros(s.grid.n, dtype=np.complex128)
     out[band] = s.samples[band]
     return _handover(Spectrum, s.grid, out)
+
+
+def _idft_bands(grid: SamplingGrid, bands) -> list[Waveform]:
+    """idft of each (spectrum, bin slice) pair's spectrum with the bins outside
+    the slice zeroed, bit for bit, from one zeroed (len(bands), n) buffer: only
+    the in-band bins are multiplied by the inverse ramp and written at their
+    FFT-shifted positions, and one batched inverse FFT transforms every row.
+    The waveforms are read-only rows of that buffer, which is read-only too."""
+    inverse, n, h = _ramps(grid)[1], grid.n, grid.n // 2
+    buf = np.zeros((len(bands), n), dtype=np.complex128)
+    for row, (s, band) in zip(buf, bands):
+        start, stop, _ = band.indices(n)
+        # bin k sits at k - h from k = h up and at k + h below; a band across
+        # bin h is written in two pieces
+        for a, b, to in ((max(start, h), stop, -h), (start, min(stop, h), h)):
+            if a < b:
+                np.multiply(s.samples[a:b], inverse[a:b], out=row[a + to:b + to])
+    _inverse_fft(buf, grid.dt).setflags(write=False)
+    return [_handover(Waveform, grid, row) for row in buf]
 
 
 def fwhm(axis: np.ndarray, values: np.ndarray) -> float:

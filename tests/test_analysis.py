@@ -17,6 +17,7 @@ from slowlight import (
     Spectrum,
     ValidationError,
     Waveform,
+    band_extract,
     compensate_intensity_spectrum,
     decompose_components,
     default_grid,
@@ -32,6 +33,8 @@ from slowlight import (
     recover_waveform,
     synth,
 )
+
+from slowlight.analysis import _shift_waveform, check_band_plan
 
 from conftest import MOD_FREQ, T0
 
@@ -201,6 +204,43 @@ def test_decompose_rejects_mismatched_grids(calibrated, amg_spec):
         decompose_components(s_out, Spectrum(other, s_in.samples), MOD_FREQ)
 
 
+@pytest.mark.parametrize("n", [256, 4096, 65536])
+def test_decompose_components_are_idft_of_band_extract_bitwise(calibrated, n):
+    rng = np.random.default_rng(n)
+    t0 = rng.uniform(2e-6, 10e-6)
+    spec = PulseSpec(AMG, t0, mod_depth=rng.uniform(0.5, 1.0),
+                     mod_freq=rng.uniform(0.8, 1.6) / t0)
+    window = default_grid(spec).window
+    grid = SamplingGrid(n, window / n, -window / 2)
+    s_in = dft(synth(spec, grid))
+    s_out = propagate_spectrum(s_in, Channel(calibrated))
+    bands = check_band_plan(grid, spec.mod_freq)
+    # the carrier band holds bins on both sides of bin n//2, where idft
+    # swaps the halves of the spectrum
+    lo, hi = bands["carrier"]
+    assert lo <= grid.detunings()[n // 2 - 1] and grid.detunings()[n // 2 + 1] < hi
+    parts = decompose_components(s_out, s_in, spec.mod_freq)
+    sources = {"reference": (s_in, "carrier"), "carrier": (s_out, "carrier"),
+               "left": (s_out, "left"), "right": (s_out, "right")}
+    for label, (s, band) in sources.items():
+        expected = idft(band_extract(s, *bands[band])).samples
+        assert getattr(parts, label).samples.tobytes() == expected.tobytes(), label
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.0, 0.37e-6, -1.3e-6])
+def test_shift_keeps_the_bits_of_the_complex_exp(calibrated, amg_spec, shift):
+    # the real input pulse and the complex output, shifted as measure_metrics
+    # shifted them with np.exp(-2j pi delta shift)
+    grid, w, s_in, s_out, _ = _propagated(amg_spec, calibrated)
+    for wave in (w, idft(s_out)):
+        s = dft(wave)
+        phasor = np.multiply(-1j * 2.0 * math.pi, s.detunings())
+        phasor *= shift
+        np.exp(phasor, out=phasor)
+        expected = idft(Spectrum(grid, np.multiply(s.samples, phasor, out=phasor)))
+        assert _shift_waveform(wave, shift).samples.tobytes() == expected.samples.tobytes()
+
+
 def test_metrics_identity(gauss_spec, gauss_grid):
     w = synth(gauss_spec, gauss_grid)
     m = measure_metrics(w, w)
@@ -311,3 +351,18 @@ def test_compensation_rejects_nan_transmission():
 def test_compensation_rejects_bad_intensity(intensity, message):
     with pytest.raises(ValidationError, match=message):
         compensate_intensity_spectrum(intensity, np.full(2, 0.5), CompensationConfig())
+
+
+@pytest.mark.parametrize("out_factor,ref_factor,label", [
+    (1e200, 1e200, "reference"), (1.0, 1e200, "reference"), (1e200, 1.0, "output"),
+])
+def test_metrics_name_the_waveform_whose_energy_overflows(gauss_spec, out_factor, ref_factor,
+                                                          label):
+    # numpy's overflow warnings, errors under Tier-1, stay silent: the
+    # NumericError is the only report
+    w = synth(gauss_spec)
+    message = (f"the {label} waveform energy sum overflowed float64; "
+               "the pulse amplitude is too large")
+    with pytest.raises(NumericError, match=re.escape(message)):
+        measure_metrics(Waveform(w.grid, w.samples * out_factor),
+                        Waveform(w.grid, w.samples * ref_factor))

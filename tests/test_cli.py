@@ -518,6 +518,17 @@ def test_propagate_overflowing_field_is_numeric_error(tmp_path, capsys, gauss_sp
     ]
 
 
+def test_metrics_overflowing_field_is_numeric_error(tmp_path, capsys, gauss_spec):
+    w = synth(gauss_spec)
+    path = tmp_path / "huge.csv"
+    write_waveform_csv(path, Waveform(w.grid, w.samples * 1e200))
+    assert main(["metrics", "--out", str(path), "--in", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "slowlight: error[numeric]: the reference waveform energy sum overflowed float64; "
+        "the pulse amplitude is too large"
+    ]
+
+
 def test_propagate_negative_intensity_file_is_validation_error(tmp_path, capsys):
     grid = SamplingGrid(n=8, dt=1e-6)
     path = tmp_path / "bad.csv"

@@ -68,6 +68,20 @@ def test_results_are_read_only_and_unshared(amg_spec, amg_grid, calibrated):
             assert not np.shares_memory(result.samples, other)
 
 
+def test_components_are_rows_of_one_read_only_buffer(amg_spec, amg_grid, calibrated):
+    _, s_in, s_out, _ = _pipeline(amg_spec, amg_grid, calibrated)
+    parts = decompose_components(s_out, s_in, MOD_FREQ)
+    base = parts.reference.samples.base
+    assert base.shape == (4, amg_grid.n) and not base.flags.writeable
+    for label in ("reference", "carrier", "left", "right"):
+        samples = getattr(parts, label).samples
+        assert samples.base is base and not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0] = 0.0
+    with pytest.raises(ValueError):
+        base[0, 0] = 0.0
+
+
 # Python objects and index arrays: under 1% of one array at n = 65536, while
 # one more float array would add 0.5
 _OBJECT_SLACK = 0.01

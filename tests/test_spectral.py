@@ -24,7 +24,7 @@ from slowlight import (
     synth,
 )
 
-from slowlight.spectral import _memo_ramps, _ramps
+from slowlight.spectral import _idft_bands, _memo_ramps, _ramps, _unit_phasor
 
 from conftest import MOD_DEPTH, MOD_FREQ, T0
 
@@ -345,3 +345,46 @@ def test_amg_closed_form_rejects_infinite_parameters(name):
     args = {"t0": T0, "mod_depth": MOD_DEPTH, "mod_freq": MOD_FREQ, name: math.inf}
     with pytest.raises(ValidationError, match=f"{name} must be positive and finite, got inf"):
         amg_spectrum_closed_form(delta=0.0, **args)
+
+
+def test_unit_phasor_equals_the_complex_exp_bitwise(rng):
+    # a platform check: np.cos and np.sin written into one buffer give the
+    # bits np.exp gives on the phase -i theta, whose real part is +0
+    magnitudes = 10.0 ** rng.uniform(math.log10(5e-324), 6.0, 200_000)
+    theta = np.concatenate([magnitudes, -magnitudes, [0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6]])
+    assert np.exp(np.multiply(-1j, theta)).tobytes() == _unit_phasor(-theta).tobytes()
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(3, 17)])
+def test_batched_ifft_rows_equal_the_one_dimensional_ifft_bitwise(rng, n):
+    # a platform check: one inverse FFT over the rows of a 2-d buffer, in
+    # place, computes each row as the 1-d transform of that row does
+    rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    rows[1, n // 8:] = 0.0  # mostly zero rows: a narrow band, one bin, none
+    rows[2, 1:] = 0.0
+    rows[3] = 0.0
+    batched = rows.copy()
+    np.fft.ifft(batched, axis=-1, out=batched)
+    for row, out in zip(rows, batched):
+        assert out.tobytes() == np.fft.ifft(row).tobytes()
+
+
+def _band_slices(n):
+    """All bins, a band across bin n//2, the bins below it, the bins from it
+    up, and the first and the last bin alone."""
+    h = n // 2
+    return [slice(0, n), slice(h - 3, h + 2), slice(1, h), slice(h, n),
+            slice(0, 1), slice(n - 1, n)]
+
+
+@pytest.mark.parametrize("n", [8, 256, 4096, 65536])
+def test_batched_band_transform_is_idft_of_band_extract_bitwise(rng, n):
+    grid = SamplingGrid(n, 1e-7, -0.37 * n * 1e-7)
+    deltas = grid.detunings()
+    edges = np.append(deltas, deltas[-1] + grid.df)  # bin k's band starts at edges[k]
+    spectra = [Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+               for _ in range(2)]
+    pairs = [(spectra[i % 2], band) for i, band in enumerate(_band_slices(n))]
+    for (s, band), w in zip(pairs, _idft_bands(grid, pairs)):
+        expected = idft(band_extract(s, edges[band.start], edges[band.stop]))
+        assert w.samples.tobytes() == expected.samples.tobytes()
