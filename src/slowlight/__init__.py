@@ -11,9 +11,8 @@ from .analysis import (
     CompensationConfig,
     ComponentDecomposition,
     PulseMetrics,
-    compensate_intensity_spectrum,
+    compensate_spectrum,
     decompose_components,
-    export_gain_spectrum,
     measure_metrics,
     recover_waveform,
 )
@@ -81,11 +80,10 @@ __all__ = [
     "amplitude_response",
     "band_extract",
     "calibrate_from_transmission",
-    "compensate_intensity_spectrum",
+    "compensate_spectrum",
     "decompose_components",
     "default_grid",
     "dft",
-    "export_gain_spectrum",
     "field_response",
     "fwhm",
     "gaussian_spectral_fwhm",

@@ -1,10 +1,11 @@
 """Spectral compensation, pulse recovery, component decomposition, metrics.
 
-Compensation divides the output intensity spectrum by the channel's intensity
+Compensation divides the output spectrum by the channel's intensity
 transmission, clamped below at a floor so far-detuned bins are never amplified
-by more than 1/floor.  Recovery applies the same division at field level
-(square roots), keeping the propagated phase, and transforms back to the time
-domain.  Decomposition splits an AMG spectrum at check_band_plan's bands,
+by more than 1/floor; _divisor checks and clamps it once per call.  Recovery
+divides the field by the divisor's square root, keeping the propagated phase;
+compensate_spectrum also returns the compensated intensity spectrum and the
+gain 1/divisor.  Decomposition splits an AMG spectrum at check_band_plan's bands,
 after checking that each sideband holds at least 1e-6 of the input and the
 output spectrum's energy, the share errors.energy_share takes; its four
 components come from one batched inverse transform and share one read-only
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError, energy_share, overflowed
-from .errors import require_finite_array
-from .signal import SamplingGrid, Waveform, _handover
+from .errors import require_within_array
+from .signal import SamplingGrid, Waveform, _handover, _intensity
 from .spectral import (
     Spectrum,
     _band_slice,
@@ -59,46 +60,37 @@ class PulseMetrics:
     fwhm_time: float
 
 
-def _validated_transmission(transmission, n: int | None = None) -> np.ndarray:
-    """transmission as floats in [0, 1], of shape (n,) when n is given."""
+def _divisor(transmission, n: int, cfg: CompensationConfig) -> np.ndarray:
+    """max(transmission, floor) per bin, for a transmission of n values in [0, 1]."""
     t = np.asarray(transmission, dtype=np.float64)
-    if n is not None and t.shape != (n,):
+    if t.shape != (n,):
         raise ValidationError(f"transmission has shape {t.shape}, expected ({n},)")
-    if not np.all((t >= 0) & (t <= 1)):
-        raise ValidationError("per-bin transmission must lie in [0, 1]")
-    return t
+    return np.maximum(require_within_array(t, 0.0, 1.0, "per-bin transmission"), cfg.floor)
 
 
-def compensate_intensity_spectrum(
-    intensity: np.ndarray, transmission, cfg: CompensationConfig
-) -> np.ndarray:
-    """Bin-wise intensity / max(transmission, floor); intensity is a finite,
-    nonnegative 1-d array."""
-    i = np.asarray(intensity, dtype=np.float64)
-    if i.ndim != 1:
-        raise ValidationError(f"intensity spectrum must be 1-d, got shape {i.shape}")
-    require_finite_array(i, "intensity spectrum")
-    if np.any(i < 0):
-        raise ValidationError("intensity spectrum must be nonnegative")
-    t = _validated_transmission(transmission, i.size)
-    return i / np.maximum(t, cfg.floor)
+def _recover(s_out: Spectrum, divisor: np.ndarray) -> Waveform:
+    return idft(_handover(Spectrum, s_out.grid, s_out.samples / np.sqrt(divisor)))
+
+
+def compensate_spectrum(
+    s_out: Spectrum, transmission, cfg: CompensationConfig
+) -> tuple[np.ndarray, Waveform, np.ndarray]:
+    """(|E_out|^2 / divisor, the waveform of E_out / sqrt(divisor), 1 / divisor)
+    for divisor = max(transmission, floor): the compensated intensity spectrum,
+    the recovered pulse and the gain spectrum.  NumericError when the first
+    overflows float64."""
+    divisor = _divisor(transmission, s_out.grid.n, cfg)
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        compensated = _intensity(s_out.samples)
+        compensated /= divisor
+    if not compensated.max() < math.inf:
+        raise overflowed("output spectrum")
+    return compensated, _recover(s_out, divisor), 1.0 / divisor
 
 
 def recover_waveform(s_out: Spectrum, transmission, cfg: CompensationConfig) -> Waveform:
-    """Field-level compensation then inverse transform.
-
-    Divides the output spectrum by sqrt(max(transmission, floor)), preserving
-    the propagated phase; the intensity spectrum of the result equals
-    compensate_intensity_spectrum applied to |E_out|^2.
-    """
-    t = _validated_transmission(transmission, s_out.grid.n)
-    divisor = np.sqrt(np.maximum(t, cfg.floor))
-    return idft(_handover(Spectrum, s_out.grid, s_out.samples / divisor))
-
-
-def export_gain_spectrum(transmission, cfg: CompensationConfig) -> np.ndarray:
-    """Per-bin intensity gain 1/max(transmission, floor) an amplifier would need."""
-    return 1.0 / np.maximum(_validated_transmission(transmission), cfg.floor)
+    """compensate_spectrum's recovered pulse, without the other two arrays."""
+    return _recover(s_out, _divisor(transmission, s_out.grid.n, cfg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,12 +191,6 @@ def decompose_components(
         left_delay=delays[1],
         right_delay=delays[2],
     )
-
-
-def _intensity(samples: np.ndarray) -> np.ndarray:
-    """|x|^2 per sample, squared in place in the array np.abs returns."""
-    i = np.abs(samples)
-    return np.square(i, out=i)
 
 
 def _intensity_sum(w: Waveform, label: str) -> tuple[np.ndarray, np.floating]:

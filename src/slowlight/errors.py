@@ -1,11 +1,13 @@
-"""Exception types shared across the package, the finite-value checks, and
-the one energy guard.
+"""Exception types shared across the package, the value checks, and the
+one energy sum and energy guard.
 
-energy_share is the one measure of where an array's energy lies: the share
-of its sum |x|^2 in given slices.  require_inside applies it to the outer 5%
-of an array, edge_energy_fraction's slices; synth guards its pulse with it,
-propagate its input waveform, both spectra and its output waveform, and
-the sideband check of decompose takes the same share over each band.
+The array checks name the first bad value and its index.  energy_sum is
+the one sum |x|^2, and energy_share the one measure of where an array's
+energy lies: the share of that sum in given slices.  require_inside
+applies it to the outer 5% of an array, edge_energy_fraction's slices;
+synth guards its pulse with it, propagate its input waveform, both spectra
+and its output waveform, and the sideband check of decompose takes the
+same share over each band.
 """
 
 import math
@@ -49,15 +51,31 @@ def require_within(obj, low: float, high: float, *fields: str) -> None:
             raise ValidationError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
 
 
-def require_finite_array(arr: np.ndarray, what: str) -> np.ndarray:
-    """Return the array arr; raise ValidationError naming `what`, the first
-    non-finite value in arr and, unless arr is a scalar, its flat index."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite))
+def _require_all(arr: np.ndarray, ok: np.ndarray, what: str, rule: str) -> np.ndarray:
+    """arr; ValidationError naming `what`, the `rule` it breaks, the first value
+    that ok marks False and, unless arr is a scalar, its flat index."""
+    if not ok.all():
+        i = int(np.argmin(ok))
         where = f" at index {i}" if arr.ndim else ""
-        raise ValidationError(f"{what} must be finite, got {arr.flat[i]}{where}")
+        raise ValidationError(f"{what} must {rule}, got {arr.flat[i]}{where}")
     return arr
+
+
+def require_finite_array(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, checked to hold only finite values."""
+    return _require_all(arr, np.isfinite(arr), what, "be finite")
+
+
+def require_within_array(arr: np.ndarray, low: float, high: float, what: str) -> np.ndarray:
+    """arr, checked to hold only values in [low, high]; nan is outside."""
+    return _require_all(arr, (arr >= low) & (arr <= high), what, f"lie in [{low:g}, {high:g}]")
+
+
+def require_detunings(delta) -> np.ndarray:
+    """delta as float64 detunings in Hz, each finite and at most SCALE from
+    zero, beyond which its square overflows."""
+    d = require_finite_array(np.asarray(delta, dtype=np.float64), "detuning")
+    return require_within_array(d, -SCALE, SCALE, "detuning")
 
 
 # share of an array's energy tolerated in its outer 5%
@@ -66,16 +84,21 @@ NYQUIST_EDGE = "bins, at the Nyquist frequency; the grid undersamples the pulse"
 WINDOW_EDGE = "window; the pulse is cut off there or wraps around circularly"
 
 
+def energy_sum(x: np.ndarray) -> float:
+    """sum |x|^2 over the array x."""
+    return float(np.vdot(x, x).real)
+
+
 def energy_share(samples, *parts: slice) -> float:
-    """Share of sum |x|^2 in the given slices of the samples; 0 when that sum is
-    0, and nan when it is not finite (it overflowed, or a sample did)."""
+    """Share of energy_sum in the given slices of the samples; 0 when that sum
+    is 0, and nan when it is not finite (it overflowed, or a sample did)."""
     x = np.asarray(samples)
-    total = float(np.vdot(x, x).real)
+    total = energy_sum(x)
     if total == 0.0:
         return 0.0
     if not total < math.inf:
         return math.nan
-    return sum(float(np.vdot(x[p], x[p]).real) for p in parts) / total
+    return sum(energy_sum(x[p]) for p in parts) / total
 
 
 def edge_energy_fraction(samples) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .medium import MeasuredTransmission
-from .signal import SamplingGrid, Waveform
+from .signal import SamplingGrid, Waveform, _intensity
 from .spectral import Spectrum
 
 FIELD_HEADER = "time_s,field"
@@ -170,7 +170,7 @@ def write_waveform_csv(path, w: Waveform) -> None:
 
 def write_intensity_csv(path, w: Waveform) -> None:
     """Write the intensity |e|^2 of a waveform as time_s,intensity rows."""
-    _write_csv(path, INTENSITY_HEADER, (w.grid.times(), np.abs(w.samples) ** 2))
+    _write_csv(path, INTENSITY_HEADER, (w.grid.times(), _intensity(w.samples)))
 
 
 def read_timeseries_csv(path) -> Waveform:

@@ -24,7 +24,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import SCALE, ValidationError, require_finite, require_finite_array, require_within
+from .errors import SCALE, ValidationError, require_detunings, require_finite
+from .errors import require_finite_array, require_within, require_within_array
 
 _TWO_PI = 2.0 * math.pi
 
@@ -50,26 +51,15 @@ class EitMedium:
             raise ValidationError(f"scale must lie in (0, 1], got {self.scale}")
 
 
-def _detunings(delta) -> np.ndarray:
-    """delta as float64 detunings in Hz; ValidationError naming the first
-    non-finite one, or the first beyond SCALE, where its square overflows."""
-    d = require_finite_array(np.asarray(delta, dtype=np.float64), "detuning")
-    beyond = np.abs(d) > SCALE
-    if beyond.any():
-        raise ValidationError(f"detuning must lie in [{-SCALE:g}, {SCALE:g}], "
-                              f"got {d.flat[int(np.argmax(beyond))]}")
-    return d
-
-
 def amplitude_response(m: EitMedium, delta):
     """Field amplitude ratio A(delta) = |H(delta)|, in (0, 1]."""
-    d = _detunings(delta)
+    d = require_detunings(delta)
     return np.sqrt(m.scale) * np.exp(-d**2 * m.z / (d**2 + m.gamma_eit**2))
 
 
 def phase_response(m: EitMedium, delta):
     """Phase Phi(delta) in radians; odd in delta, zero at resonance."""
-    d = _detunings(delta)
+    d = require_detunings(delta)
     return d * m.z * m.gamma_eit / (d**2 + m.gamma_eit**2)
 
 
@@ -79,7 +69,7 @@ def group_delay(m: EitMedium, delta):
     Positive means delay (slow light), negative advancement (fast light);
     the sign changes exactly at |delta| = gamma_eit.
     """
-    d = _detunings(delta)
+    d = require_detunings(delta)
     # a product, rounded as numpy rounds d**2: Python's gamma**2 calls pow,
     # which rounds 1.7371607681654914e16**2 one unit higher
     g2 = m.gamma_eit * m.gamma_eit
@@ -166,8 +156,7 @@ class MeasuredTransmission:
             raise ValidationError(f"need at least 4 tabulated points, got {d.size}")
         if np.any(np.diff(d) <= 0):
             raise ValidationError("tabulated detunings must be strictly increasing")
-        if not np.all((t >= 0) & (t <= 1)):
-            raise ValidationError("tabulated transmissions must lie in [0, 1]")
+        require_within_array(t, 0.0, 1.0, "tabulated transmission")
         d.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "detunings", d)
@@ -176,7 +165,7 @@ class MeasuredTransmission:
 
 def transmission_lookup(table: MeasuredTransmission, delta):
     """Interpolated intensity transmission at delta (Hz), clamped to [0, 1]."""
-    d = _detunings(delta)
+    d = require_detunings(delta)
     t = table.transmissions
     outside = 0.5 * float(t[0] + t[-1])
     value = np.interp(d, table.detunings, t, left=outside, right=outside)

@@ -34,11 +34,9 @@ from . import io as sio
 from .analysis import (
     CompensationConfig,
     check_band_plan,
-    compensate_intensity_spectrum,
+    compensate_spectrum,
     decompose_components,
-    export_gain_spectrum,
     measure_metrics,
-    recover_waveform,
 )
 from .errors import ValidationError
 from .medium import (
@@ -57,7 +55,7 @@ from .signal import (
     default_grid,
     synth,
 )
-from .spectral import Spectrum, intensity_spectrum
+from .spectral import Spectrum
 
 BUNDLED_SCENARIOS = ("fig2a", "fig2b", "fig3a", "fig3b", "fig4")
 
@@ -278,11 +276,7 @@ def compensate(s_out: Spectrum, medium: EitMedium | None,
         transmission = transmission_lookup(table, deltas)
     else:
         transmission = intensity_transmission(medium, deltas)
-    return (
-        compensate_intensity_spectrum(intensity_spectrum(s_out), transmission, cfg),
-        recover_waveform(s_out, transmission, cfg),
-        export_gain_spectrum(transmission, cfg),
-    )
+    return compensate_spectrum(s_out, transmission, cfg)
 
 
 def decompose(s_out: Spectrum, s_in: Spectrum, mod_freq: float):

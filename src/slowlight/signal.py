@@ -9,6 +9,7 @@ whose intensity half-maximum points sit at center +- t0, and an
 amplitude-modulated Gaussian (AMG) whose field is the Gaussian field times
 1 + mod_depth * cos(2*pi*mod_freq*(t - center)).  synth accepts a pulse
 only when it fits its window by propagate's own rule, errors.require_inside.
+_intensity is the package's one |x|^2: np.abs, then squared in place.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SCALE, WINDOW_EDGE, NumericError, ValidationError, require_finite
-from .errors import require_finite_array, require_inside, require_within
+from .errors import SCALE, WINDOW_EDGE, NumericError, ValidationError, energy_sum
+from .errors import require_finite, require_finite_array, require_inside, require_within
 
 LN2 = math.log(2.0)
 
@@ -105,6 +106,12 @@ def _own_samples(obj, what: str) -> None:
     object.__setattr__(obj, "samples", _freeze(arr))
 
 
+def _intensity(samples: np.ndarray) -> np.ndarray:
+    """|x|^2 per sample, squared in place in the array np.abs returns."""
+    i = np.abs(samples)
+    return np.square(i, out=i)
+
+
 def _handover(cls, grid: SamplingGrid, samples: np.ndarray):
     """cls(grid, samples), for Waveform or Spectrum, without the constructor's
     defensive copy: the caller hands over a complex array of grid.n samples
@@ -129,7 +136,7 @@ class Waveform:
 
     def energy(self) -> float:
         """Sum of |e|^2 * dt over the window."""
-        return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dt)
+        return energy_sum(self.samples) * self.grid.dt
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,17 @@ The phase ramps over the grid's detunings, inverse = exp(+i 2 pi delta_k t_0)
 and forward = dt * conj(inverse), come from one complex exp and are
 memoised together for the last grid, so the transforms of one pipeline
 build them once.  SamplingGrid caps n at 2**22, which bounds the memo at two
-64 MiB arrays.  dft and idft each write into one fresh buffer: dft
-multiplies the forward ramp by the FFT with its halves swapped (the FFT
-shift), and idft writes samples * inverse with swapped halves and runs the
-inverse FFT in place.  The band transform of a decomposition writes the
-in-band bins of several spectra the same way into the rows of one zeroed
-buffer and runs one inverse FFT over the rows, which gives each row the
-bits of idft(band_extract(...)).  Complex multiply is not bitwise
-commutative, so those operand orders fix the output bits.  Library
-functions hand the arrays they have just built to Spectrum and Waveform
-without a copy; the public constructors copy.
+64 MiB arrays.  dft writes into one fresh buffer the forward ramp times
+the FFT with its halves swapped (the FFT shift).  Every inverse transform
+runs through _idft_bands: it writes the in-band bins of one or more
+spectra, times the inverse ramp, at their swapped positions in the rows
+of one zeroed buffer and runs one inverse FFT over the rows in place.
+idft is its one-band case, the whole spectrum, and each band of a
+decomposition gets the bits of idft(band_extract(...)).  Complex multiply
+is not bitwise commutative, so those operand orders fix the output bits.
+fwhm and peak_location check their axis and values by one rule, _curve.
+Library functions hand the arrays they have just built to Spectrum and
+Waveform without a copy; the public constructors copy.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, require_finite_array
-from .signal import LN2, SamplingGrid, Waveform, _handover, _own_samples
+from .errors import SCALE, NumericError, ValidationError, energy_sum, require_detunings
+from .errors import require_finite_array, require_within
+from .signal import LN2, SamplingGrid, Waveform, _handover, _intensity, _own_samples
 
 _TWO_PI = 2.0 * math.pi
 
@@ -55,7 +58,7 @@ class Spectrum:
 
     def energy(self) -> float:
         """Sum of |E|^2 * df; equals the waveform energy by Parseval."""
-        return float(np.sum(np.abs(self.samples) ** 2) * self.grid.df)
+        return energy_sum(self.samples) * self.grid.df
 
 
 def _ramps(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -96,27 +99,14 @@ def dft(w: Waveform) -> Spectrum:
     return _handover(Spectrum, grid, out)
 
 
-def _inverse_fft(buf: np.ndarray, dt: float) -> np.ndarray:
-    """The inverse FFT of each row of buf, in place, divided by dt: buf holds
-    FFT-shifted spectrum bins already multiplied by the inverse ramp."""
-    np.fft.ifft(buf, axis=-1, out=buf)
-    buf /= dt
-    return buf
-
-
 def idft(s: Spectrum) -> Waveform:
     """Inverse transform; exact inverse of dft up to float rounding."""
-    grid = s.grid
-    inverse, h = _ramps(grid)[1], grid.n // 2
-    out = np.empty_like(s.samples)
-    np.multiply(s.samples[h:], inverse[h:], out=out[:h])
-    np.multiply(s.samples[:h], inverse[:h], out=out[h:])
-    return _handover(Waveform, grid, _inverse_fft(out, grid.dt))
+    return _idft_bands(s.grid, [(s, slice(None))])[0]
 
 
 def intensity_spectrum(s: Spectrum) -> np.ndarray:
     """|E(delta)|^2 per bin; phase information is discarded."""
-    return np.abs(s.samples) ** 2
+    return _intensity(s.samples)
 
 
 def amg_spectrum_closed_form(t0: float, mod_depth: float, mod_freq: float, delta):
@@ -125,15 +115,16 @@ def amg_spectrum_closed_form(t0: float, mod_depth: float, mod_freq: float, delta
     Evaluates i1(delta) + (A^2/4) [i1(delta - f) + i1(delta + f)] where i1 is
     the intensity spectrum of the Gaussian pulse, a Gaussian of half-width
     ln2/(2 pi t0) (FWHM ln2/(pi t0)).  Cross terms are neglected, valid when
-    the modulation frequency far exceeds the spectral width.
+    the modulation frequency far exceeds the spectral width.  t0 lies in
+    [1/SCALE, SCALE] seconds, mod_freq in (0, SCALE] Hz and delta by the
+    channel's rule, errors.require_detunings, so every square stays finite.
     """
-    if not 0.0 < t0 < math.inf:
-        raise ValidationError(f"t0 must be positive and finite, got {t0}")
-    if not 0.0 <= mod_depth <= 1.0:
-        raise ValidationError(f"mod_depth must lie in [0, 1], got {mod_depth}")
-    if not 0.0 < mod_freq < math.inf:
-        raise ValidationError(f"mod_freq must be positive and finite, got {mod_freq}")
-    d = np.asarray(delta, dtype=np.float64)
+    args = SimpleNamespace(t0=t0, mod_depth=mod_depth)
+    require_within(args, 1.0 / SCALE, SCALE, "t0")
+    require_within(args, 0.0, 1.0, "mod_depth")
+    if not 0.0 < mod_freq <= SCALE:
+        raise ValidationError(f"mod_freq must lie in (0, {SCALE:g}], got {mod_freq}")
+    d = require_detunings(delta)
     half_width = LN2 / (_TWO_PI * t0)
 
     def i1(x):
@@ -159,11 +150,12 @@ def band_extract(s: Spectrum, lo: float, hi: float) -> Spectrum:
 
 
 def _idft_bands(grid: SamplingGrid, bands) -> list[Waveform]:
-    """idft of each (spectrum, bin slice) pair's spectrum with the bins outside
-    the slice zeroed, bit for bit, from one zeroed (len(bands), n) buffer: only
-    the in-band bins are multiplied by the inverse ramp and written at their
-    FFT-shifted positions, and one batched inverse FFT transforms every row.
-    The waveforms are read-only rows of that buffer, which is read-only too."""
+    """The inverse transform of each (spectrum, bin slice) pair's spectrum with
+    the bins outside the slice zeroed, from one zeroed (len(bands), n) buffer:
+    only the in-band bins are multiplied by the inverse ramp and written at
+    their FFT-shifted positions, and one batched inverse FFT transforms every
+    row in place.  The waveforms are read-only rows of that buffer, which is
+    read-only too."""
     inverse, n, h = _ramps(grid)[1], grid.n, grid.n // 2
     buf = np.zeros((len(bands), n), dtype=np.complex128)
     for row, (s, band) in zip(buf, bands):
@@ -173,8 +165,21 @@ def _idft_bands(grid: SamplingGrid, bands) -> list[Waveform]:
         for a, b, to in ((max(start, h), stop, -h), (start, min(stop, h), h)):
             if a < b:
                 np.multiply(s.samples[a:b], inverse[a:b], out=row[a + to:b + to])
-    _inverse_fft(buf, grid.dt).setflags(write=False)
+    np.fft.ifft(buf, axis=-1, out=buf)
+    buf /= grid.dt
+    buf.setflags(write=False)
     return [_handover(Waveform, grid, row) for row in buf]
+
+
+def _curve(axis, values, what: str, min_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """axis and values as float64 arrays, checked to be 1-d, of one length
+    of at least min_size, and finite; `what` names the caller in errors."""
+    axis = np.asarray(axis, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if axis.shape != values.shape or axis.ndim != 1 or axis.size < min_size:
+        raise ValidationError(f"{what} needs matching 1-d axis/values of >= {min_size} samples")
+    require_finite_array(axis, f"{what} axis")
+    return axis, require_finite_array(values, f"{what} value")
 
 
 def fwhm(axis: np.ndarray, values: np.ndarray) -> float:
@@ -184,11 +189,7 @@ def fwhm(axis: np.ndarray, values: np.ndarray) -> float:
     to the global maximum are located by linear interpolation between
     bracketing samples.
     """
-    axis = np.asarray(axis, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if axis.shape != values.shape or axis.ndim != 1 or axis.size < 3:
-        raise ValidationError("fwhm needs matching 1-d axis/values with >= 3 samples")
-    require_finite_array(values, "fwhm value")
+    axis, values = _curve(axis, values, "fwhm", 3)
     i_peak = int(np.argmax(values))
     half = 0.5 * values[i_peak]
 
@@ -211,11 +212,7 @@ def fwhm(axis: np.ndarray, values: np.ndarray) -> float:
 
 def peak_location(axis: np.ndarray, values: np.ndarray) -> float:
     """Position of the global maximum, refined by 3-point parabolic interpolation."""
-    axis = np.asarray(axis, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if axis.shape != values.shape or axis.ndim != 1 or axis.size == 0:
-        raise ValidationError("peak_location needs matching nonempty 1-d axis/values")
-    require_finite_array(values, "peak_location value")
+    axis, values = _curve(axis, values, "peak_location", 1)
     i = int(np.argmax(values))
     if i == 0 or i == values.size - 1:
         return float(axis[i])

@@ -18,11 +18,10 @@ from slowlight import (
     ValidationError,
     Waveform,
     band_extract,
-    compensate_intensity_spectrum,
+    compensate_spectrum,
     decompose_components,
     default_grid,
     dft,
-    export_gain_spectrum,
     group_delay,
     idft,
     intensity_spectrum,
@@ -48,34 +47,63 @@ def _propagated(spec, medium):
     return grid, w, s_in, s_out, transmission
 
 
+def _unit_spectrum(n=8):
+    return Spectrum(SamplingGrid(n=n, dt=1e-6), np.ones(n))
+
+
 def test_compensation_unit_transmission_is_identity(rng):
     cfg = CompensationConfig(floor=1e-3)
-    intensity = rng.uniform(0.0, 3.0, 128)
-    out = compensate_intensity_spectrum(intensity, np.ones(128), cfg)
-    np.testing.assert_array_equal(out, intensity)
+    s = Spectrum(SamplingGrid(n=128, dt=1e-6), rng.normal(size=128) + 1j * rng.normal(size=128))
+    compensated, _, gain = compensate_spectrum(s, np.ones(128), cfg)
+    np.testing.assert_array_equal(compensated, intensity_spectrum(s))
+    np.testing.assert_array_equal(gain, 1.0)
 
 
 def test_compensation_clamps_at_floor():
     cfg = CompensationConfig(floor=0.01)
-    intensity = np.array([1.0, 1.0, 1.0])
-    transmission = np.array([0.5, 0.01, 1e-9])
-    out = compensate_intensity_spectrum(intensity, transmission, cfg)
-    np.testing.assert_allclose(out, [2.0, 100.0, 100.0], rtol=1e-15)
+    transmission = np.array([0.5, 0.01, 1e-9, 1.0, 1.0, 1.0, 1.0, 1.0])
+    compensated, _, gain = compensate_spectrum(_unit_spectrum(), transmission, cfg)
+    np.testing.assert_allclose(compensated[:3], [2.0, 100.0, 100.0], rtol=1e-15)
+    np.testing.assert_array_equal(compensated, gain)
 
 
 def test_compensation_rejects_bad_transmission():
     cfg = CompensationConfig()
-    with pytest.raises(ValidationError):
-        compensate_intensity_spectrum(np.ones(4), np.array([0.5, 1.2, 0.3, 0.1]), cfg)
-    with pytest.raises(ValidationError):
-        compensate_intensity_spectrum(np.ones(4), np.array([0.5, 0.3, 0.1]), cfg)
+    bad = np.array([0.5, 1.2, 0.3, 0.1, 0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(ValidationError, match="transmission must lie in .*, got 1.2 at index 1"):
+        compensate_spectrum(_unit_spectrum(), bad, cfg)
+    with pytest.raises(ValidationError, match=r"shape \(3,\), expected \(8,\)"):
+        compensate_spectrum(_unit_spectrum(), np.array([0.5, 0.3, 0.1]), cfg)
+
+
+def _parent_compensation(s_out, transmission, floor):
+    """The three arrays as compensate_intensity_spectrum, recover_waveform and
+    export_gain_spectrum computed them, each from its own clamp."""
+    compensated = np.abs(s_out.samples) ** 2 / np.maximum(transmission, floor)
+    divisor = np.sqrt(np.maximum(transmission, floor))
+    recovered = idft(Spectrum(s_out.grid, s_out.samples / divisor))
+    return compensated, recovered.samples, 1.0 / np.maximum(transmission, floor)
+
+
+@pytest.mark.parametrize("floor_factor", [0.5, 4.0])
+def test_compensate_spectrum_has_the_bits_of_the_three_functions(calibrated, amg_spec,
+                                                                  floor_factor):
+    # floors below and above the least transmission: no bin clamped, some clamped
+    grid, w, s_in, s_out, transmission = _propagated(amg_spec, calibrated)
+    cfg = CompensationConfig(floor=float(transmission.min()) * floor_factor)
+    compensated, recovered, gain = compensate_spectrum(s_out, transmission, cfg)
+    expected = _parent_compensation(s_out, transmission, cfg.floor)
+    got = compensated, recovered.samples, gain
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+    assert recover_waveform(s_out, transmission, cfg).samples.tobytes() == expected[1].tobytes()
 
 
 def test_compensated_spectrum_equals_input_spectrum(calibrated, amg_spec):
     # the algebraic identity |E_out|^2 / |A|^2 = |E_in|^2 when nothing clips
     grid, w, s_in, s_out, transmission = _propagated(amg_spec, calibrated)
     cfg = CompensationConfig(floor=float(transmission.min()) / 2.0)
-    compensated = compensate_intensity_spectrum(intensity_spectrum(s_out), transmission, cfg)
+    compensated = compensate_spectrum(s_out, transmission, cfg)[0]
     reference = intensity_spectrum(s_in)
     np.testing.assert_allclose(compensated, reference, rtol=1e-9, atol=0)
 
@@ -92,7 +120,7 @@ def test_recover_intensity_spectrum_consistency(calibrated, amg_spec):
     cfg = CompensationConfig(floor=1e-3)
     recovered = recover_waveform(s_out, transmission, cfg)
     lhs = intensity_spectrum(dft(recovered))
-    rhs = compensate_intensity_spectrum(intensity_spectrum(s_out), transmission, cfg)
+    rhs = compensate_spectrum(s_out, transmission, cfg)[0]
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9 * rhs.max())
 
 
@@ -287,12 +315,16 @@ def test_metrics_reject_a_reference_with_no_energy_support():
         measure_metrics(spike, spike)
 
 
+def _gain(transmission, cfg):
+    return compensate_spectrum(_unit_spectrum(), np.resize(transmission, 8), cfg)[2]
+
+
 def test_gain_trivial_values():
     cfg = CompensationConfig(floor=1e-3)
-    np.testing.assert_array_equal(export_gain_spectrum(np.ones(5), cfg), 1.0)
-    assert export_gain_spectrum(np.array([0.25]), cfg)[0] == pytest.approx(4.0, rel=1e-15)
+    np.testing.assert_array_equal(_gain(np.ones(8), cfg), 1.0)
+    assert _gain(np.array([0.25]), cfg)[0] == pytest.approx(4.0, rel=1e-15)
     # below the floor the gain saturates at 1/floor
-    assert export_gain_spectrum(np.array([1e-9]), cfg)[0] == pytest.approx(1e3, rel=1e-15)
+    assert _gain(np.array([1e-9]), cfg)[0] == pytest.approx(1e3, rel=1e-15)
 
 
 def test_gain_at_sidebands_of_calibrated_window():
@@ -302,7 +334,7 @@ def test_gain_at_sidebands_of_calibrated_window():
     expected = 1.0 / (medium.scale * math.exp(-2.0 * medium.z * x))
     cfg = CompensationConfig(floor=1e-3)
     transmission = np.asarray(intensity_transmission(medium, np.array([-MOD_FREQ, MOD_FREQ])))
-    gain = export_gain_spectrum(transmission, cfg)
+    gain = _gain(transmission, cfg)
     np.testing.assert_allclose(gain, expected, rtol=1e-12)
     np.testing.assert_allclose(gain, 7.9264, rtol=1e-4)
 
@@ -334,23 +366,18 @@ def test_compensation_config_validation():
 def test_compensation_rejects_nan_transmission():
     # a NaN fails both (t < 0) and (t > 1), so the range check must test the complement
     cfg = CompensationConfig()
-    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-        compensate_intensity_spectrum(np.ones(2), np.array([np.nan, 0.5]), cfg)
-    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-        export_gain_spectrum(np.array([np.nan, 0.5]), cfg)
-    grid = SamplingGrid(n=8, dt=1e-6)
-    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-        recover_waveform(Spectrum(grid, np.ones(8)), np.full(8, np.nan), cfg)
-
-
-@pytest.mark.parametrize("intensity, message", [
-    (1.0, r"intensity spectrum must be 1-d, got shape \(\)"),
-    ([1.0, math.nan], "intensity spectrum must be finite, got nan at index 1"),
-    ([1.0, -0.5], "intensity spectrum must be nonnegative"),
-])
-def test_compensation_rejects_bad_intensity(intensity, message):
+    message = r"per-bin transmission must lie in \[0, 1\], got nan at index 0"
     with pytest.raises(ValidationError, match=message):
-        compensate_intensity_spectrum(intensity, np.full(2, 0.5), CompensationConfig())
+        compensate_spectrum(_unit_spectrum(), np.array([np.nan] + [0.5] * 7), cfg)
+    with pytest.raises(ValidationError, match=message):
+        recover_waveform(_unit_spectrum(), np.full(8, np.nan), cfg)
+
+
+def test_compensation_names_an_overflowing_spectrum():
+    # |E|^2 of 1e200 overflows float64: a NumericError, and no numpy warning
+    s = Spectrum(SamplingGrid(n=8, dt=1e-6), np.full(8, 1e200))
+    with pytest.raises(NumericError, match="output spectrum energy sum overflowed"):
+        compensate_spectrum(s, np.ones(8), CompensationConfig())
 
 
 @pytest.mark.parametrize("out_factor,ref_factor,label", [

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from slowlight import MeasuredTransmission, SamplingGrid, Waveform, synth
+from slowlight import MeasuredTransmission, SamplingGrid, Spectrum, Waveform, dft, synth
 from slowlight.cli import build_parser, main
 from slowlight.errors import ValidationError
 from slowlight.scenario import (
@@ -20,6 +20,7 @@ from slowlight.scenario import (
 from slowlight.io import (
     read_detuning_series_csv,
     read_timeseries_csv,
+    write_spectrum_csv,
     write_transmission_csv,
     write_waveform_csv,
 )
@@ -525,6 +526,19 @@ def test_metrics_overflowing_field_is_numeric_error(tmp_path, capsys, gauss_spec
     assert main(["metrics", "--out", str(path), "--in", str(path)]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "slowlight: error[numeric]: the reference waveform energy sum overflowed float64; "
+        "the pulse amplitude is too large"
+    ]
+
+
+def test_compensate_overflowing_spectrum_is_numeric_error(tmp_path, capsys, gauss_spec):
+    s = dft(synth(gauss_spec))
+    path = tmp_path / "huge_spectrum.csv"
+    write_spectrum_csv(path, Spectrum(s.grid, s.samples * 1e200))
+    code = main(["compensate", "--spectrum", str(path), "--gamma-khz", "268.2",
+                 "--z", "0.9083", "--out", str(tmp_path / "rec.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "slowlight: error[numeric]: the output spectrum energy sum overflowed float64; "
         "the pulse amplitude is too large"
     ]
 

@@ -313,7 +313,8 @@ def test_measured_transmission_validation():
         MeasuredTransmission(
             np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, 1.3, 0.4])
         )
-    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+    with pytest.raises(ValidationError,
+                       match=r"tabulated transmission must lie in \[0, 1\], got nan at index 2"):
         MeasuredTransmission(
             np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, np.nan, 0.4])
         )

@@ -340,11 +340,34 @@ def test_peak_measures_reject_non_finite_values(measure):
         measure(np.arange(5.0), [0.0, 1.0, math.nan, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("measure", [peak_location, fwhm])
+def test_peak_measures_reject_non_finite_axis(measure):
+    axis = np.arange(5.0)
+    axis[3] = math.nan
+    with pytest.raises(ValidationError, match="axis must be finite, got nan at index 3"):
+        measure(axis, [0.0, 1.0, 2.0, 1.0, 0.0])
+
+
 @pytest.mark.parametrize("name", ["t0", "mod_freq"])
 def test_amg_closed_form_rejects_infinite_parameters(name):
     args = {"t0": T0, "mod_depth": MOD_DEPTH, "mod_freq": MOD_FREQ, name: math.inf}
-    with pytest.raises(ValidationError, match=f"{name} must be positive and finite, got inf"):
+    with pytest.raises(ValidationError, match=rf"{name} must lie in .*, 1e\+18\], got inf"):
         amg_spectrum_closed_form(delta=0.0, **args)
+
+
+def test_amg_closed_form_rejects_a_t0_below_the_scale():
+    # half_width**2 would overflow a Python float
+    with pytest.raises(ValidationError, match=r"t0 must lie in \[1e-18, 1e\+18\], got 1e-300"):
+        amg_spectrum_closed_form(1e-300, 1.0, 1e3, [0.0])
+
+
+@pytest.mark.parametrize("delta, message", [
+    ([1e200], r"detuning must lie in \[-1e\+18, 1e\+18\], got 1e\+200 at index 0"),
+    ([0.0, math.nan], "detuning must be finite, got nan at index 1"),
+])
+def test_amg_closed_form_rejects_detunings_by_the_channel_rule(delta, message):
+    with pytest.raises(ValidationError, match=message):
+        amg_spectrum_closed_form(1.0, 1.0, 1e3, delta)
 
 
 def test_unit_phasor_equals_the_complex_exp_bitwise(rng):
@@ -386,5 +409,5 @@ def test_batched_band_transform_is_idft_of_band_extract_bitwise(rng, n):
                for _ in range(2)]
     pairs = [(spectra[i % 2], band) for i, band in enumerate(_band_slices(n))]
     for (s, band), w in zip(pairs, _idft_bands(grid, pairs)):
-        expected = idft(band_extract(s, edges[band.start], edges[band.stop]))
-        assert w.samples.tobytes() == expected.samples.tobytes()
+        expected = _parent_idft(band_extract(s, edges[band.start], edges[band.stop]))
+        assert w.samples.tobytes() == expected.tobytes()
