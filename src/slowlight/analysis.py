@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, energy_share, overflowed
-from .errors import require_within_array
+from .errors import NumericError, ValidationError, energy_share, energy_sum, overflowed
+from .errors import require_within
 from .signal import SamplingGrid, Waveform, _handover, _intensity
 from .spectral import (
     Spectrum,
@@ -65,11 +65,18 @@ def _divisor(transmission, n: int, cfg: CompensationConfig) -> np.ndarray:
     t = np.asarray(transmission, dtype=np.float64)
     if t.shape != (n,):
         raise ValidationError(f"transmission has shape {t.shape}, expected ({n},)")
-    return np.maximum(require_within_array(t, 0.0, 1.0, "per-bin transmission"), cfg.floor)
+    return np.maximum(require_within(t, 0.0, 1.0, "per-bin transmission"), cfg.floor)
 
 
 def _recover(s_out: Spectrum, divisor: np.ndarray) -> Waveform:
-    return idft(_handover(Spectrum, s_out.grid, s_out.samples / np.sqrt(divisor)))
+    """The waveform of s_out / sqrt(divisor); NumericError when its energy
+    sum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the overflow
+        w = idft(_handover(Spectrum, s_out.grid, s_out.samples / np.sqrt(divisor)))
+        total = energy_sum(w.samples)
+    if not total < math.inf:
+        raise overflowed("recovered waveform")
+    return w
 
 
 def compensate_spectrum(
@@ -77,8 +84,8 @@ def compensate_spectrum(
 ) -> tuple[np.ndarray, Waveform, np.ndarray]:
     """(|E_out|^2 / divisor, the waveform of E_out / sqrt(divisor), 1 / divisor)
     for divisor = max(transmission, floor): the compensated intensity spectrum,
-    the recovered pulse and the gain spectrum.  NumericError when the first
-    overflows float64."""
+    the recovered pulse and the gain spectrum.  NumericError when the first,
+    or the energy sum of the second, overflows float64."""
     divisor = _divisor(transmission, s_out.grid.n, cfg)
     with np.errstate(over="ignore"):  # the check below names the overflow
         compensated = _intensity(s_out.samples)

@@ -1,13 +1,14 @@
 """Exception types shared across the package, the value checks, and the
 one energy sum and energy guard.
 
-The array checks name the first bad value and its index.  energy_sum is
-the one sum |x|^2, and energy_share the one measure of where an array's
-energy lies: the share of that sum in given slices.  require_inside
-applies it to the outer 5% of an array, edge_energy_fraction's slices;
-synth guards its pulse with it, propagate its input waveform, both spectra
-and its output waveform, and the sideband check of decompose takes the
-same share over each band.
+require_finite and require_within take a number or an array and name its
+first bad value, with its index in an array; a range check with finite
+bounds is also the value's finite check.  energy_sum is the one sum |x|^2,
+and energy_share the one measure of where an array's energy lies: the share
+of that sum in given slices.  require_inside applies it to the outer 5% of
+an array, edge_energy_fraction's slices; synth guards its pulse with it,
+propagate its input waveform, both spectra and its output waveform, and the
+sideband check of decompose takes the same share over each band.
 """
 
 import math
@@ -27,14 +28,6 @@ class NumericError(SlowlightError, ArithmeticError):
     """A numeric guard fired (e.g. a propagated pulse wrapped around its window)."""
 
 
-def require_finite(obj, *fields: str) -> None:
-    """Raise ValidationError naming the first of obj's fields that is not finite."""
-    for name in fields:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
-
-
 # every time (s), frequency (Hz) and optical depth the model takes lies
 # within SCALE of zero, and a positive scale (dt, t0, gamma_eit) at least
 # 1/SCALE above it: wide enough for any pulse and medium, narrow enough that
@@ -43,39 +36,36 @@ def require_finite(obj, *fields: str) -> None:
 SCALE = 1e18
 
 
-def require_within(obj, low: float, high: float, *fields: str) -> None:
-    """Raise ValidationError naming the first of obj's fields outside [low, high]."""
-    for name in fields:
-        value = getattr(obj, name)
-        if not low <= value <= high:
-            raise ValidationError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
-
-
-def _require_all(arr: np.ndarray, ok: np.ndarray, what: str, rule: str) -> np.ndarray:
-    """arr; ValidationError naming `what`, the `rule` it breaks, the first value
-    that ok marks False and, unless arr is a scalar, its flat index."""
-    if not ok.all():
+def _require(value, ok, what: str, rule: str, *bounds: float):
+    """value; ValidationError naming `what` and the first value that ok marks
+    False, with its flat index unless value is a number.  A nan or +-inf
+    must be finite, any other value must `rule`, formatted with the bounds."""
+    # a number passes as the bool True, without numpy's reduction
+    if ok is not True and not np.all(ok):
+        arr = np.asarray(value)
         i = int(np.argmin(ok))
+        bad = arr.flat[i]
         where = f" at index {i}" if arr.ndim else ""
-        raise ValidationError(f"{what} must {rule}, got {arr.flat[i]}{where}")
-    return arr
+        rule = rule.format(*bounds) if np.isfinite(bad) else "be finite"
+        raise ValidationError(f"{what} must {rule}, got {bad}{where}")
+    return value
 
 
-def require_finite_array(arr: np.ndarray, what: str) -> np.ndarray:
-    """arr, checked to hold only finite values."""
-    return _require_all(arr, np.isfinite(arr), what, "be finite")
+def require_finite(value, what: str):
+    """value, a number or an array, checked to be finite throughout."""
+    return _require(value, np.isfinite(value), what, "be finite")
 
 
-def require_within_array(arr: np.ndarray, low: float, high: float, what: str) -> np.ndarray:
-    """arr, checked to hold only values in [low, high]; nan is outside."""
-    return _require_all(arr, (arr >= low) & (arr <= high), what, f"lie in [{low:g}, {high:g}]")
+def require_within(value, low: float, high: float, what: str):
+    """value, a number or an array, checked to lie in [low, high] throughout;
+    for finite bounds this is also its finite check."""
+    return _require(value, (value >= low) & (value <= high), what, "lie in [{:g}, {:g}]", low, high)
 
 
 def require_detunings(delta) -> np.ndarray:
-    """delta as float64 detunings in Hz, each finite and at most SCALE from
-    zero, beyond which its square overflows."""
-    d = require_finite_array(np.asarray(delta, dtype=np.float64), "detuning")
-    return require_within_array(d, -SCALE, SCALE, "detuning")
+    """delta as float64 detunings in Hz, each at most SCALE from zero, beyond
+    which its square overflows."""
+    return require_within(np.asarray(delta, dtype=np.float64), -SCALE, SCALE, "detuning")
 
 
 # share of an array's energy tolerated in its outer 5%

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, overflowed
 from .medium import MeasuredTransmission
 from .signal import SamplingGrid, Waveform, _intensity
 from .spectral import Spectrum
@@ -169,8 +169,13 @@ def write_waveform_csv(path, w: Waveform) -> None:
 
 
 def write_intensity_csv(path, w: Waveform) -> None:
-    """Write the intensity |e|^2 of a waveform as time_s,intensity rows."""
-    _write_csv(path, INTENSITY_HEADER, (w.grid.times(), _intensity(w.samples)))
+    """Write the intensity |e|^2 of a waveform as time_s,intensity rows;
+    NumericError when it overflows float64."""
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        intensity = _intensity(w.samples)
+    if not intensity.max() < math.inf:
+        raise overflowed("waveform")
+    _write_csv(path, INTENSITY_HEADER, (w.grid.times(), intensity))
 
 
 def read_timeseries_csv(path) -> Waveform:

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import SCALE, ValidationError, require_detunings, require_finite
-from .errors import require_finite_array, require_within, require_within_array
+from .errors import SCALE, ValidationError, require_detunings, require_finite, require_within
 
 _TWO_PI = 2.0 * math.pi
 
@@ -44,9 +42,8 @@ class EitMedium:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        require_finite(self, "gamma_eit", "z")
-        require_within(self, 1.0 / SCALE, SCALE, "gamma_eit")
-        require_within(self, 0.0, SCALE, "z")
+        require_within(self.gamma_eit, 1.0 / SCALE, SCALE, "gamma_eit")
+        require_within(self.z, 0.0, SCALE, "z")
         if not 0.0 < self.scale <= 1.0:
             raise ValidationError(f"scale must lie in (0, 1], got {self.scale}")
 
@@ -107,9 +104,8 @@ def calibrate_from_transmission(peak: float, background: float, fwhm: float) -> 
             f"need 0 < background < peak <= 1 for a transparency window, "
             f"got peak={peak}, background={background}"
         )
-    window = SimpleNamespace(background=background, fwhm=fwhm)
-    require_within(window, 1.0 / SCALE, 1.0, "background")
-    require_within(window, 2.0 / SCALE, SCALE / 4.0, "fwhm")
+    require_within(background, 1.0 / SCALE, 1.0, "background")
+    require_within(fwhm, 2.0 / SCALE, SCALE / 4.0, "fwhm")
 
     scale = peak
     z = 0.5 * math.log(peak / background)
@@ -151,12 +147,12 @@ class MeasuredTransmission:
         t = np.array(self.transmissions, dtype=np.float64)
         if d.ndim != 1 or d.shape != t.shape:
             raise ValidationError("detunings and transmissions must be equal-length 1-d arrays")
-        require_finite_array(d, "tabulated detuning")
+        require_finite(d, "tabulated detuning")
         if d.size < 4:
             raise ValidationError(f"need at least 4 tabulated points, got {d.size}")
         if np.any(np.diff(d) <= 0):
             raise ValidationError("tabulated detunings must be strictly increasing")
-        require_within_array(t, 0.0, 1.0, "tabulated transmission")
+        require_within(t, 0.0, 1.0, "tabulated transmission")
         d.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "detunings", d)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NYQUIST_EDGE, WINDOW_EDGE, ValidationError, require_inside
-from .errors import edge_energy_fraction  # noqa: F401  (still importable from here)
 from .medium import (
     EitMedium,
     MeasuredTransmission,

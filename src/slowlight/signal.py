@@ -7,8 +7,9 @@ intensity I(t) = e(t)^2.  Two shapes are supported: a plain Gaussian,
 
 whose intensity half-maximum points sit at center +- t0, and an
 amplitude-modulated Gaussian (AMG) whose field is the Gaussian field times
-1 + mod_depth * cos(2*pi*mod_freq*(t - center)).  synth accepts a pulse
-only when it fits its window by propagate's own rule, errors.require_inside.
+1 + mod_depth * cos(2*pi*mod_freq*(t - center)).  PulseSpec checks the
+pulse's parameters, each against one range; synth accepts a pulse only when
+it fits its window by propagate's own rule, errors.require_inside.
 _intensity is the package's one |x|^2: np.abs, then squared in place.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SCALE, WINDOW_EDGE, NumericError, ValidationError, energy_sum
-from .errors import require_finite, require_finite_array, require_inside, require_within
+from .errors import require_finite, require_inside, require_within
 
 LN2 = math.log(2.0)
 
@@ -62,9 +63,8 @@ class SamplingGrid:
             raise ValidationError(f"grid size must be a power of two >= 8, got {self.n}")
         if self.n > MAX_GRID_N:
             raise ValidationError(f"grid size {self.n} exceeds the cap of {MAX_GRID_N}")
-        require_finite(self, "dt", "t_start")
-        require_within(self, 1.0 / SCALE, SCALE, "dt")
-        require_within(self, -SCALE, SCALE, "t_start")
+        require_within(self.dt, 1.0 / SCALE, SCALE, "dt")
+        require_within(self.t_start, -SCALE, SCALE, "t_start")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_start", float(self.t_start))
@@ -102,7 +102,7 @@ def _own_samples(obj, what: str) -> None:
     arr = np.array(obj.samples, dtype=np.complex128)
     if arr.shape != (obj.grid.n,):
         raise ValidationError(f"{what.format(arr.shape)}, grid expects ({obj.grid.n},)")
-    require_finite_array(arr, "sample")
+    require_finite(arr, "sample")
     object.__setattr__(obj, "samples", _freeze(arr))
 
 
@@ -144,9 +144,10 @@ class PulseSpec:
     """Parameters of a probe pulse.
 
     t0 is the Gaussian width parameter in seconds (intensity half-maximum at
-    +-t0 from center, i.e. intensity FWHM = 2*t0).  For AMG pulses mod_depth
-    is the modulation depth in [0, 1] and mod_freq the modulation frequency
-    in Hz.
+    +-t0 from center, i.e. intensity FWHM = 2*t0), in [1/SCALE, SCALE], and
+    center lies in [-SCALE, SCALE] seconds.  mod_depth is the modulation
+    depth in [0, 1] and mod_freq the modulation frequency in [0, SCALE] Hz,
+    positive for an AMG pulse; a Gaussian pulse ignores both.
     """
 
     kind: str
@@ -158,19 +159,12 @@ class PulseSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValidationError(f"pulse kind must be one of {_KINDS}, got {self.kind!r}")
-        require_finite(self, "t0", "mod_depth", "mod_freq", "center")
-        if not self.t0 > 0:
-            raise ValidationError(f"pulse width t0 must be positive, got {self.t0}")
-        if self.kind == AMG:
-            if not 0.0 <= self.mod_depth <= 1.0:
-                raise ValidationError(
-                    f"modulation depth must lie in [0, 1] to keep the field "
-                    f"nonnegative, got {self.mod_depth}"
-                )
-            if not self.mod_freq > 0:
-                raise ValidationError(
-                    f"modulation frequency must be positive, got {self.mod_freq}"
-                )
+        require_within(self.t0, 1.0 / SCALE, SCALE, "t0")
+        require_within(self.mod_depth, 0.0, 1.0, "mod_depth")
+        require_within(self.mod_freq, 0.0, SCALE, "mod_freq")
+        require_within(self.center, -SCALE, SCALE, "center")
+        if self.kind == AMG and not self.mod_freq > 0:
+            raise ValidationError(f"modulation frequency must be positive, got {self.mod_freq}")
 
 
 def default_grid(spec: PulseSpec) -> SamplingGrid:
@@ -185,11 +179,8 @@ def default_grid(spec: PulseSpec) -> SamplingGrid:
     spectral_fwhm = gaussian_spectral_fwhm(spec.t0)
     f_top = spectral_fwhm + (spec.mod_freq if spec.kind == AMG else 0.0)
     window = max(16.0 * spec.t0, 8.0 / spectral_fwhm)
+    # PulseSpec's domain keeps this below about 7e38, a float math.ceil takes
     needed = max(2.0 * 8.0 * f_top * window, 4.0 * window / spec.t0)
-    if not math.isfinite(needed):  # math.ceil would raise OverflowError
-        raise ValidationError(
-            f"grid sample count {needed} is not finite; the cap is {MAX_GRID_N}"
-        )
     n_needed = max(8, math.ceil(needed))
     n = 8
     while n < n_needed:
@@ -202,15 +193,12 @@ def synth(spec: PulseSpec, grid: SamplingGrid | None = None) -> Waveform:
 
     The unit-peak Gaussian field exp[-ln2 (t-center)^2 / (2 t0^2)]; an AMG
     field is that envelope times 1 + A cos(2 pi f (t-center)), so with
-    mod_depth = 0 it reproduces the Gaussian sample for sample.  t0 must lie
-    in [1/SCALE, SCALE] seconds, and |center| and mod_freq at most SCALE.
-    The samples pass propagate's window guard, errors.require_inside: they
-    hold energy, and at most 1e-6 of it lies in their outer 5%.
+    mod_depth = 0 it reproduces the Gaussian sample for sample.  The samples
+    pass propagate's window guard, errors.require_inside: they hold energy,
+    and at most 1e-6 of it lies in their outer 5%.
     """
     if grid is None:
         grid = default_grid(spec)
-    require_within(spec, 1.0 / SCALE, SCALE, "t0")
-    require_within(spec, -SCALE, SCALE, "center", "mod_freq")
     tau = grid.times() - spec.center
     samples = np.exp(-LN2 * tau**2 / (2.0 * spec.t0**2))
     if spec.kind == AMG:

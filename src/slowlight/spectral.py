@@ -32,13 +32,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import SCALE, NumericError, ValidationError, energy_sum, require_detunings
-from .errors import require_finite_array, require_within
-from .signal import LN2, SamplingGrid, Waveform, _handover, _intensity, _own_samples
+from .errors import NumericError, ValidationError, energy_sum, require_detunings, require_finite
+from .signal import AMG, LN2, PulseSpec, SamplingGrid, Waveform, _handover, _intensity
+from .signal import _own_samples
 
 _TWO_PI = 2.0 * math.pi
 
@@ -115,15 +114,11 @@ def amg_spectrum_closed_form(t0: float, mod_depth: float, mod_freq: float, delta
     Evaluates i1(delta) + (A^2/4) [i1(delta - f) + i1(delta + f)] where i1 is
     the intensity spectrum of the Gaussian pulse, a Gaussian of half-width
     ln2/(2 pi t0) (FWHM ln2/(pi t0)).  Cross terms are neglected, valid when
-    the modulation frequency far exceeds the spectral width.  t0 lies in
-    [1/SCALE, SCALE] seconds, mod_freq in (0, SCALE] Hz and delta by the
-    channel's rule, errors.require_detunings, so every square stays finite.
+    the modulation frequency far exceeds the spectral width.  The parameters
+    are checked as PulseSpec(AMG, t0, mod_depth, mod_freq), the pulse whose
+    spectrum this is, and delta by errors.require_detunings.
     """
-    args = SimpleNamespace(t0=t0, mod_depth=mod_depth)
-    require_within(args, 1.0 / SCALE, SCALE, "t0")
-    require_within(args, 0.0, 1.0, "mod_depth")
-    if not 0.0 < mod_freq <= SCALE:
-        raise ValidationError(f"mod_freq must lie in (0, {SCALE:g}], got {mod_freq}")
+    PulseSpec(AMG, t0, mod_depth, mod_freq)
     d = require_detunings(delta)
     half_width = LN2 / (_TWO_PI * t0)
 
@@ -178,8 +173,8 @@ def _curve(axis, values, what: str, min_size: int) -> tuple[np.ndarray, np.ndarr
     values = np.asarray(values, dtype=np.float64)
     if axis.shape != values.shape or axis.ndim != 1 or axis.size < min_size:
         raise ValidationError(f"{what} needs matching 1-d axis/values of >= {min_size} samples")
-    require_finite_array(axis, f"{what} axis")
-    return axis, require_finite_array(values, f"{what} value")
+    require_finite(axis, f"{what} axis")
+    return axis, require_finite(values, f"{what} value")
 
 
 def fwhm(axis: np.ndarray, values: np.ndarray) -> float:

@@ -366,7 +366,7 @@ def test_compensation_config_validation():
 def test_compensation_rejects_nan_transmission():
     # a NaN fails both (t < 0) and (t > 1), so the range check must test the complement
     cfg = CompensationConfig()
-    message = r"per-bin transmission must lie in \[0, 1\], got nan at index 0"
+    message = r"per-bin transmission must be finite, got nan at index 0"
     with pytest.raises(ValidationError, match=message):
         compensate_spectrum(_unit_spectrum(), np.array([np.nan] + [0.5] * 7), cfg)
     with pytest.raises(ValidationError, match=message):
@@ -378,6 +378,15 @@ def test_compensation_names_an_overflowing_spectrum():
     s = Spectrum(SamplingGrid(n=8, dt=1e-6), np.full(8, 1e200))
     with pytest.raises(NumericError, match="output spectrum energy sum overflowed"):
         compensate_spectrum(s, np.ones(8), CompensationConfig())
+
+
+def test_recovery_names_an_overflowing_waveform(gauss_spec):
+    # E / sqrt(1e-300) overflows float64 and the inverse transform turns it
+    # into nan: a NumericError, and no numpy warning
+    s = dft(synth(gauss_spec))
+    s = Spectrum(s.grid, s.samples * 1e300)
+    with pytest.raises(NumericError, match="recovered waveform energy sum overflowed"):
+        recover_waveform(s, np.zeros(s.grid.n), CompensationConfig(floor=1e-300))
 
 
 @pytest.mark.parametrize("out_factor,ref_factor,label", [

@@ -406,7 +406,14 @@ def test_synth_overflowing_grid_is_validation_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["synth", "--kind", "amg", "--t0-us", "1e306", "--depth", "1",
                  "--mod-khz", "1e297", "--out", str(out)]) == 2
-    assert "grid sample count inf is not finite; the cap is 4194304" in capsys.readouterr().err
+    assert "t0 must lie in [1e-18, 1e+18], got 9.999999999999999e+299" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_width_below_the_scale_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["synth", "--kind", "gaussian", "--t0-us", "1e-294", "--out", str(out)]) == 2
+    assert "t0 must lie in [1e-18, 1e+18], got 1e-300" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -454,7 +461,7 @@ def test_compensate_with_table_checks_the_medium_flags(tmp_path, capsys):
     base = ["compensate", "--spectrum", str(spectrum), "--transmission-file", str(table),
             "--time-ref", str(pulse), "--out", str(out)]
     assert main([*base, "--gamma-khz", "-5", "--z", "nan"]) == 2
-    assert "z must be finite, got nan" in capsys.readouterr().err
+    assert "gamma_eit must lie in [1e-18, 1e+18], got -5000.0" in capsys.readouterr().err
     assert not out.exists()
     assert main([*base, "--gamma-khz", "268.2", "--z", "0.9083"]) == 0
     assert main(base) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from slowlight import (
     MeasuredTransmission,
+    NumericError,
     SamplingGrid,
     Spectrum,
     ValidationError,
@@ -219,6 +220,15 @@ def test_writer_rejects_non_finite_before_opening(tmp_path, bad):
     with pytest.raises(ValidationError) as info:
         write_gain_csv(path, np.array([-100.0, 0.0, 100.0, 200.0]), gain)
     assert f"{path}: non-finite value {bad} in data row 3, column 2" in str(info.value)
+    assert not path.exists()
+
+
+def test_intensity_writer_names_an_overflow(tmp_path, gauss_spec):
+    # |e|^2 of a 1e200 sample overflows float64: a NumericError, and no numpy warning
+    w = synth(gauss_spec)
+    path = tmp_path / "i.csv"
+    with pytest.raises(NumericError, match="the waveform energy sum overflowed float64"):
+        write_intensity_csv(path, Waveform(w.grid, w.samples * 1e200))
     assert not path.exists()
 
 

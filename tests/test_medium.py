@@ -195,7 +195,7 @@ def test_calibration_rejects(peak, background, fwhm):
 
 
 @pytest.mark.parametrize("peak,background,fwhm,message", [
-    (0.615, 0.10, math.inf, "fwhm must lie in [2e-18, 2.5e+17], got inf"),
+    (0.615, 0.10, math.inf, "fwhm must be finite, got inf"),
     (0.615, 0.10, 1e300, "fwhm must lie in [2e-18, 2.5e+17], got 1e+300"),
     (0.615, 5e-324, 350e3, "background must lie in [1e-18, 1], got 5e-324"),
     # z = 1.1e-16: the bisection gave gamma_eit = 303.1 kHz, not 175.0 kHz
@@ -314,7 +314,7 @@ def test_measured_transmission_validation():
             np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, 1.3, 0.4])
         )
     with pytest.raises(ValidationError,
-                       match=r"tabulated transmission must lie in \[0, 1\], got nan at index 2"):
+                       match=r"tabulated transmission must be finite, got nan at index 2"):
         MeasuredTransmission(
             np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, np.nan, 0.4])
         )

@@ -33,9 +33,9 @@ from slowlight import (
     transmission_lookup,
 )
 
+from slowlight.errors import edge_energy_fraction
 from slowlight.io import read_transmission_csv, write_transmission_csv
 from slowlight.scenario import load_scenario
-from slowlight.propagation import edge_energy_fraction
 
 from conftest import MOD_FREQ
 

@@ -62,10 +62,10 @@ def test_oversized_grid_is_rejected_before_allocating(make, n):
 
 
 def test_default_grid_non_finite_sample_count_is_validation_error():
-    # 2*8*f_top*window overflows to inf before math.ceil could see it
-    spec = PulseSpec(AMG, 1e300, 1.0, 1e297)
-    with pytest.raises(ValidationError, match=f"grid sample count inf is not finite; the cap is {MAX_GRID_N}"):
-        default_grid(spec)
+    # default_grid's 2*8*f_top*window would overflow to inf for this pulse;
+    # PulseSpec's domain rejects it first, so every sample count is finite
+    with pytest.raises(ValidationError, match=re.escape("t0 must lie in [1e-18, 1e+18], got 1e+300")):
+        PulseSpec(AMG, 1e300, 1.0, 1e297)
 
 
 def test_grid_rejects_bad_spacing():
@@ -178,6 +178,20 @@ def test_overmodulation_rejected():
 def test_amg_needs_positive_mod_freq():
     with pytest.raises(ValidationError):
         PulseSpec(AMG, T0, mod_depth=0.5, mod_freq=0.0)
+
+
+@pytest.mark.parametrize("kind, name, value, domain", [
+    (GAUSSIAN, "t0", 1e-300, "[1e-18, 1e+18]"),
+    (GAUSSIAN, "center", 2e18, "[-1e+18, 1e+18]"),
+    (AMG, "mod_freq", 2e18, "[0, 1e+18]"),
+    # unused by a Gaussian pulse, but outside the domain of every pulse
+    (GAUSSIAN, "mod_depth", 1.5, "[0, 1]"),
+    (GAUSSIAN, "mod_freq", -1.0, "[0, 1e+18]"),
+])
+def test_pulse_spec_rejects_the_parameter_outside_its_domain(kind, name, value, domain):
+    fields = {"t0": T0, "mod_depth": 0.5, "mod_freq": MOD_FREQ, "center": 0.0, name: value}
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must lie in {domain}, got {value}")):
+        PulseSpec(kind, **fields)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

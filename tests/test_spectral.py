@@ -351,7 +351,7 @@ def test_peak_measures_reject_non_finite_axis(measure):
 @pytest.mark.parametrize("name", ["t0", "mod_freq"])
 def test_amg_closed_form_rejects_infinite_parameters(name):
     args = {"t0": T0, "mod_depth": MOD_DEPTH, "mod_freq": MOD_FREQ, name: math.inf}
-    with pytest.raises(ValidationError, match=rf"{name} must lie in .*, 1e\+18\], got inf"):
+    with pytest.raises(ValidationError, match=f"{name} must be finite, got inf"):
         amg_spectrum_closed_form(delta=0.0, **args)
 
 
