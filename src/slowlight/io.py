@@ -1,18 +1,20 @@
 """CSV serialization for waveforms, spectra, transmission tables, gains and metrics.
 
-All writers emit a header row and shortest round-trip float formatting
-(`repr` of the float64 value), so write -> read -> write is byte-identical
-for files this package produced.  Writers reject non-finite values before
-opening the file, since the readers reject them too.  Rows are formatted and
-written in blocks of BLOCK_ROWS, one column at a time.  The first column of
-every file is a time or detuning axis; its formatted text is memoised for the
-last two distinct axes, so the artifacts of one pipeline format each axis
-once.  Readers take ASCII text only and parse it in one np.loadtxt pass
-that hands each cell to Python's float, so spaces, tabs and 1_0 are
-accepted and a '#' is a malformed cell, not a comment.  They reject
-non-finite cells, validate uniform axis spacing to 1e-6 relative and snap
-the spacing to the exact float the writer used when one reproduces every
-axis value.
+All writers emit a header row and shortest round-trip float formatting: the
+bytes of `repr` of each float64 value, so write -> read -> write is
+byte-identical for files this package produced.  Writers reject non-finite
+values before opening the file, since the readers reject them too (and the
+formatter would write nan as null).  Rows are formatted and written in
+blocks of BLOCK_ROWS: one orjson call prints a block's shortest digits, and
+a few C-level string passes rewrite its text into repr's exponent and
+small-number forms.  The first column of every file is a time or detuning
+axis; its formatted text is memoised for the last two distinct axes, so the
+artifacts of one pipeline format each axis once.  Readers take ASCII text
+only and parse it in one np.loadtxt pass that hands each cell to Python's
+float, so spaces, tabs and 1_0 are accepted and a '#' is a malformed cell,
+not a comment.  They reject non-finite cells, validate uniform axis spacing
+to 1e-6 relative and snap the spacing to the exact float the writer used
+when one reproduces every axis value.
 
 A waveform is written as its field (time_s,field) or as the intensity
 |e|^2 a detector records (time_s,intensity), and either file reads back as
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +50,40 @@ METRICS_HEADER = "metric,value"
 BLOCK_ROWS = 1024
 
 
+# orjson prints the shortest round-trip digits, as repr does, in other text:
+# it writes 1e16 and 1.5e-7 where repr writes 1e+16 and 1.5e-07 (its positive
+# exponents are all 16 or more), and 0.000015 where repr writes 1.5e-05, for
+# 1e-5 <= |x| < 1e-4.  The exponent passes replace with literal strings, which
+# stay in C (a template with group references runs Python code per match);
+# only the band pass, for cells not preceded by a digit or '.', calls _e05.
+_UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
+_FIXED_E05 = re.compile(r"0\.0000(?<![\d.]0\.0000)([1-9])(\d*)")
+
+
+def _e05(m: re.Match) -> str:
+    return f"{m[1]}.{m[2]}e-05" if m[2] else f"{m[1]}e-05"
+
+
+def _format_rows(table: np.ndarray) -> str:
+    """The rows of a C-contiguous rows x columns float64 array as newline-joined
+    CSV lines, each cell the text repr gives it; every cell must be finite."""
+    import orjson  # loaded on the first write, so processes that never write skip it
+
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii")
+    text = text[2:-2].replace("],[", "\n")
+    text = _UNSIGNED_EXPONENT.sub("e+", text)
+    text = _ONE_DIGIT_EXPONENT.sub("e-0", text)
+    if "0.0000" in text:
+        text = _FIXED_E05.sub(_e05, text)
+    return text
+
+
 @functools.lru_cache(maxsize=2)
 def _axis_blocks(raw: bytes) -> tuple[str, ...]:
     """Formatted axis values, newline-joined per block of BLOCK_ROWS."""
-    axis = np.frombuffer(raw, dtype=np.float64)
-    return tuple(
-        "\n".join(map(repr, axis[lo:lo + BLOCK_ROWS].tolist()))
-        for lo in range(0, axis.size, BLOCK_ROWS)
-    )
+    axis = np.frombuffer(raw, dtype=np.float64)[:, None]
+    return tuple(_format_rows(axis[lo:lo + BLOCK_ROWS]) for lo in range(0, axis.shape[0], BLOCK_ROWS))
 
 
 def _reject_non_finite(path, data: np.ndarray) -> None:
@@ -79,9 +108,8 @@ def _write_csv(path, header: str, columns) -> None:
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")
         for lo, axis_text in zip(range(0, axis.size, BLOCK_ROWS), _axis_blocks(axis.tobytes())):
-            cells = [axis_text.split("\n")]
-            cells += [map(repr, c[lo:lo + BLOCK_ROWS].tolist()) for c in data]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            rows = _format_rows(np.column_stack([c[lo:lo + BLOCK_ROWS] for c in data]))
+            f.write("\n".join(map(",".join, zip(axis_text.split("\n"), rows.split("\n")))) + "\n")
 
 
 def write_metrics_csv(path, rows) -> None:

@@ -6,13 +6,19 @@ nested list): the io functions must produce the same bytes and the same
 arrays, and fail on the same inputs.
 """
 
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import slowlight
 from slowlight import ValidationError
 from slowlight.io import (
     BLOCK_ROWS,
@@ -28,7 +34,12 @@ from slowlight.io import (
 HEADERS = {2: "time_s,field", 3: "detuning_hz,re,im"}
 EDGE_LENGTHS = (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
-           1e-7, 123456789.0, 0.1, np.finfo(np.float64).max, -np.finfo(np.float64).max)
+           1e-7, 123456789.0, 0.1, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+           # the formatter's rewrites: the 1e-5 <= |x| < 1e-4 band and its edges, one-digit
+           # and signed exponents, the last float repr writes without one, and "0.0000"
+           # inside a number outside the band
+           1e-05, -1e-05, 1.5e-05, 9.999999999999999e-05, 1e-04, 1e-09, 1.5e-07,
+           9999999999999998.0, 1e+100, 1e-100, 10.00001, 100.00001)
 
 
 def reference_text(header, columns) -> str:
@@ -59,10 +70,13 @@ def _columns_with_specials(n_cols: int, n: int) -> list[np.ndarray]:
     rng = np.random.default_rng(n)
     axis = (np.arange(n) - n // 2) * 1953.125
     cols = [axis]
-    for _ in range(1, n_cols):
+    # first and last row of every block, where a cell starts or ends the formatter's text
+    edges = np.unique(np.r_[0:n:BLOCK_ROWS, BLOCK_ROWS - 1:n:BLOCK_ROWS, n - 1])
+    for j in range(1, n_cols):
         col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         picks = rng.integers(0, n, len(SPECIAL))
         col[picks] = SPECIAL
+        col[edges] = np.resize(np.roll(SPECIAL, 5 * j + n), edges.size)
         cols.append(col)
     return cols
 
@@ -107,6 +121,53 @@ def test_block_edges_and_axis_memo(tmp_path, n, n_cols):
     assert (memo.hits, memo.misses, memo.maxsize) == (1, 1, 2)  # only the axis is memoised
     assert first.read_text() == reference_text(header, cols)
     assert again.read_text() == reference_text(header, other)
+
+
+def test_bulk_writer_bytes_match_reference(tmp_path):
+    # hypothesis draws a few hundred values a run; this guards the formatter on 2**16 rows
+    n = 1 << 16
+    rng = np.random.default_rng(20091)
+    bits = rng.integers(0, 1 << 64, n, dtype=np.uint64).view(np.float64)
+    non_finite = ~np.isfinite(bits)
+    bits[non_finite] = rng.standard_normal(int(non_finite.sum()))
+    magnitudes = 10.0 ** rng.uniform(-12.0, 20.0, n) * rng.choice((-1.0, 1.0), n)
+    axis = (np.arange(n) - n // 2) * (1e-9 * rng.uniform(0.5, 2.0))
+    path = tmp_path / "bulk.csv"
+    _write_csv(path, HEADERS[3], (axis, bits, magnitudes))
+    expected = reference_text(HEADERS[3], (axis.tolist(), bits.tolist(), magnitudes.tolist()))
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_writer_peak_memory_is_one_table_copy_plus_a_block(tmp_path):
+    n = 1 << 16
+    rng = np.random.default_rng(3)
+    cols = [(np.arange(n) - n // 2) * 1.2e-9, rng.standard_normal(n), rng.standard_normal(n) * 1e-6]
+    path = tmp_path / "big.csv"
+    _write_csv(path, HEADERS[3], cols)  # the axis memo is filled before the count starts
+    tracemalloc.start()
+    try:
+        _write_csv(path, HEADERS[3], cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the stacked copy the finite check scans (1536 KiB) and its mask (192 KiB),
+    # plus one block's arrays and text: 1729 KiB measured.  The file's whole
+    # text (about 4 MiB) or one more copy of the table would break the bound.
+    assert peak < 2048 * 1024
+    assert path.stat().st_size > 2 * peak
+
+
+def test_orjson_is_loaded_by_the_first_write_only(tmp_path):
+    script = (
+        "import sys; import slowlight, slowlight.cli, slowlight.io as sio; "
+        "assert 'orjson' not in sys.modules, 'imported with slowlight'; "
+        "sio.write_gain_csv(sys.argv[1], [0.0, 1.0], [1.0, 0.5]); "
+        "assert 'orjson' in sys.modules, 'not imported by the writer'"
+    )
+    src = str(Path(slowlight.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "g.csv")], check=True,
+                   timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (tmp_path / "g.csv").read_text() == "detuning_hz,intensity_gain\n0.0,1.0\n1.0,0.5\n"
 
 
 def test_writer_rejects_columns_of_different_lengths(tmp_path):
