@@ -121,12 +121,12 @@ _MIN_SIDEBAND_ENERGY = 1e-6
 
 def _require_sidebands(s_in: Spectrum, s_out: Spectrum, slices: dict[str, slice]) -> None:
     """Reject a spectrum whose left or right band, a slice of its bins, holds
-    less than _MIN_SIDEBAND_ENERGY of its energy (errors.energy_share), or
-    whose energy is zero or overflowed."""
+    less than _MIN_SIDEBAND_ENERGY of its energy (errors.energy_share, which
+    names a spectrum whose energy overflowed), or whose energy is zero."""
     for label, s in (("input", s_in), ("output", s_out)):
         for side in ("left", "right"):
-            frac = energy_share(s.samples, slices[side])
-            if not frac >= _MIN_SIDEBAND_ENERGY:  # nan, an overflowed sum, fails too
+            frac = energy_share(f"{label} spectrum", s.samples, slices[side])
+            if frac < _MIN_SIDEBAND_ENERGY:
                 raise ValidationError(
                     f"{side} sideband of the {label} spectrum carries only "
                     f"{frac:.2e} of the total energy; not an AMG pulse"

@@ -5,10 +5,10 @@ require_finite and require_within take a number or an array and name its
 first bad value, with its index in an array; a range check with finite
 bounds is also the value's finite check.  energy_sum is the one sum |x|^2,
 and energy_share the one measure of where an array's energy lies: the share
-of that sum in given slices.  require_inside applies it to the outer 5% of
-an array, edge_energy_fraction's slices; synth guards its pulse with it,
-propagate its input waveform, both spectra and its output waveform, and the
-sideband check of decompose takes the same share over each band.
+of that sum in given slices, or a NumericError naming an overflowed array.
+require_inside applies it to the outer 5% of an array, edge_energy_fraction's
+slices; synth guards its pulse with it, propagate its input waveform, both
+spectra and its output waveform, and decompose takes it over each sideband.
 """
 
 import math
@@ -79,22 +79,22 @@ def energy_sum(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
-def energy_share(samples, *parts: slice) -> float:
-    """Share of energy_sum in the given slices of the samples; 0 when that sum
-    is 0, and nan when it is not finite (it overflowed, or a sample did)."""
+def energy_share(label: str, samples, *parts: slice) -> float:
+    """Share of energy_sum in the given slices of the `label` samples; 0 when
+    that sum is 0, and overflowed(label) when it is not finite."""
     x = np.asarray(samples)
     total = energy_sum(x)
     if total == 0.0:
         return 0.0
     if not total < math.inf:
-        return math.nan
+        raise overflowed(label)
     return sum(energy_sum(x[p]) for p in parts) / total
 
 
-def edge_energy_fraction(samples) -> float:
-    """energy_share of the outer 5% of the samples, 2.5% at each end."""
+def edge_energy_fraction(label: str, samples) -> float:
+    """energy_share of the outer 5% of the `label` samples, 2.5% at each end."""
     m = max(1, math.ceil(0.025 * np.size(samples)))
-    return energy_share(samples, slice(None, m), slice(-m, None))
+    return energy_share(label, samples, slice(None, m), slice(-m, None))
 
 
 def overflowed(label: str) -> NumericError:
@@ -108,13 +108,11 @@ def require_inside(label: str, samples, edge: str) -> None:
     """Raise NumericError naming `label` when the samples hold no energy, when
     their energy overflowed, or when more than EDGE_ENERGY_LIMIT of it lies
     at their edges, which `edge` names."""
-    fraction = edge_energy_fraction(samples)
-    if math.isnan(fraction):
-        raise overflowed(label)
+    fraction = edge_energy_fraction(label, samples)
     if fraction > EDGE_ENERGY_LIMIT:
         raise NumericError(
             f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"
         )
     # the share held by all of the samples is 1, or 0 when they hold no energy
-    if fraction == 0.0 and not energy_share(samples, slice(None)):
+    if fraction == 0.0 and not energy_share(label, samples, slice(None)):
         raise NumericError(f"the {label} holds no energy")

@@ -215,13 +215,17 @@ def test_decompose_rejects_plain_gaussian(calibrated, gauss_spec):
         decompose_components(s_out, s_in, MOD_FREQ)
 
 
-@pytest.mark.parametrize("factor,share", [(0.0, "0.00e+00"), (1e200, "nan")])
-def test_decompose_rejects_a_zero_or_overflowing_spectrum(calibrated, amg_spec, factor, share):
-    # an all-zero spectrum has no sideband share; an overflowing one has a nan
-    # share, which the old check (frac < limit) let through
+@pytest.mark.parametrize("factor,error,message", [
+    (0.0, ValidationError, "left sideband of the input spectrum carries only 0.00e+00 of the "
+                           "total energy"),
+    (1e200, NumericError, "the input spectrum energy sum overflowed float64"),
+], ids=["zero", "overflowing"])
+def test_decompose_rejects_a_zero_or_overflowing_spectrum(calibrated, amg_spec, factor, error,
+                                                          message):
+    # an all-zero spectrum has no sideband share; an overflowing one has no
+    # share at all, and its energy measure names the spectrum
     grid, w, s_in, s_out, _ = _propagated(amg_spec, calibrated)
-    message = f"left sideband of the input spectrum carries only {share} of the total energy"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(error, match=re.escape(message)):
         decompose_components(s_out, Spectrum(grid, s_in.samples * factor), MOD_FREQ)
 
 

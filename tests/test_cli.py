@@ -550,6 +550,23 @@ def test_compensate_overflowing_spectrum_is_numeric_error(tmp_path, capsys, gaus
     ]
 
 
+def test_decompose_overflowing_spectrum_is_numeric_error(tmp_path, capsys, amg_spec):
+    # the sideband check names the overflow as every other stage does, before
+    # the components' directory is made
+    w = synth(amg_spec)
+    pulse, path, out_dir = tmp_path / "p.csv", tmp_path / "huge.csv", tmp_path / "c"
+    write_waveform_csv(pulse, w)
+    write_spectrum_csv(path, Spectrum(w.grid, dft(w).samples * 1e200))
+    code = main(["decompose", "--input", str(pulse), "--spectrum", str(path),
+                 "--mod-khz", "700", "--out-dir", str(out_dir)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "slowlight: error[numeric]: the output spectrum energy sum overflowed float64; "
+        "the pulse amplitude is too large"
+    ]
+    assert not out_dir.exists()
+
+
 def test_propagate_negative_intensity_file_is_validation_error(tmp_path, capsys):
     grid = SamplingGrid(n=8, dt=1e-6)
     path = tmp_path / "bad.csv"

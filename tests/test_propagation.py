@@ -214,14 +214,17 @@ def test_pulse_cut_by_its_window_is_blamed_on_the_window(calibrated):
 
 
 def test_edge_energy_fraction():
-    assert edge_energy_fraction(np.zeros(64)) == 0.0
-    assert edge_energy_fraction(np.zeros(64, dtype=complex)) == 0.0
+    assert edge_energy_fraction("x", np.zeros(64)) == 0.0
+    assert edge_energy_fraction("x", np.zeros(64, dtype=complex)) == 0.0
     # 64 samples: the outer 5% is ceil(1.6) = 2 samples at each end
     x = np.zeros(64, dtype=complex)
     x[[0, 1, 62, 63]] = 1j
     x[2:62] = 1.0
-    assert edge_energy_fraction(x) == pytest.approx(4 / 64, rel=1e-15)
-    assert edge_energy_fraction(np.ones(8)) == 0.25  # one sample at each end
+    assert edge_energy_fraction("x", x) == pytest.approx(4 / 64, rel=1e-15)
+    assert edge_energy_fraction("x", np.ones(8)) == 0.25  # one sample at each end
+    # an energy sum that overflows has no share: the measure names the array
+    with pytest.raises(NumericError, match="the x energy sum overflowed float64"):
+        edge_energy_fraction("x", np.full(64, 1e200))
 
 
 def test_delayed_pulse_wrapped_in_time_only():
@@ -235,9 +238,9 @@ def test_delayed_pulse_wrapped_in_time_only():
     assert float(group_delay(medium, 0.0)) == pytest.approx(11.9e-6, rel=0.01)
     s_in = dft(w)
     s_out = propagate_spectrum(s_in, Channel(medium))
-    assert edge_energy_fraction(s_in.samples) < 1e-6
-    assert edge_energy_fraction(s_out.samples) < 1e-6
-    assert edge_energy_fraction(idft(s_out).samples) > 1e-3
+    assert edge_energy_fraction("input spectrum", s_in.samples) < 1e-6
+    assert edge_energy_fraction("output spectrum", s_out.samples) < 1e-6
+    assert edge_energy_fraction("output waveform", idft(s_out).samples) > 1e-3
     with pytest.raises(NumericError, match="of the output waveform energy lies in the outer 5% "
                                            "of the window"):
         propagate(w, Channel(medium))

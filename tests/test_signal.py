@@ -229,7 +229,7 @@ def test_synth_window_rule_is_the_edge_energy_guard(window_t0, fits):
     window = window_t0 * T0
     grid = SamplingGrid(n=1024, dt=window / 1024, t_start=-window / 2)
     field = np.exp(-LN2 * grid.times() ** 2 / (2 * T0**2))
-    assert (edge_energy_fraction(field) < 1e-6) == fits
+    assert (edge_energy_fraction("pulse", field) < 1e-6) == fits
     if fits:
         synth(PulseSpec(GAUSSIAN, T0), grid)
     else:
