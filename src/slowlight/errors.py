@@ -113,6 +113,5 @@ def require_inside(label: str, samples, edge: str) -> None:
         raise NumericError(
             f"{fraction:.2e} of the {label} energy lies in the outer 5% of the {edge}"
         )
-    # the share held by all of the samples is 1, or 0 when they hold no energy
-    if fraction == 0.0 and not energy_share(label, samples, slice(None)):
+    if fraction == 0.0 and energy_sum(samples) == 0.0:
         raise NumericError(f"the {label} holds no energy")

@@ -12,9 +12,10 @@ axis; its formatted text is memoised for the last two distinct axes, so the
 artifacts of one pipeline format each axis once.  Readers take ASCII text
 only and parse it in one np.loadtxt pass that hands each cell to Python's
 float, so spaces, tabs and 1_0 are accepted and a '#' is a malformed cell,
-not a comment.  They reject non-finite cells, validate uniform axis spacing
-to 1e-6 relative and snap the spacing to the exact float the writer used
-when one reproduces every axis value.
+not a comment.  They reject non-finite cells and read the axis back as the
+SamplingGrid whose own times() or detunings() equal it, so the grid a
+writer used is the grid read back; an axis that no grid reproduces must be
+uniform to 1e-6 relative.
 
 A waveform is written as its field (time_s,field) or as the intensity
 |e|^2 a detector records (time_s,intensity), and either file reads back as
@@ -154,35 +155,28 @@ def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
     return header, data
 
 
-def _recover_spacing(axis: np.ndarray, what: str) -> float:
-    """Spacing of a uniform axis, snapped to the writer's exact float.
-
-    The mean spacing is only accurate to rounding, so axis regeneration as
-    axis[0] + k*spacing would drift by ulps; probing a few neighboring floats
-    finds the exact spacing whenever the axis was generated that way.
-    """
-    n = axis.size
-    base = (axis[-1] - axis[0]) / (n - 1)
-    if not base > 0:
-        raise ValidationError(f"{what}: axis must be strictly increasing")
-    k = np.arange(n)
-    for candidate in (base, np.nextafter(base, 0.0), np.nextafter(base, math.inf),
-                      np.nextafter(np.nextafter(base, 0.0), 0.0),
-                      np.nextafter(np.nextafter(base, math.inf), math.inf)):
-        if np.array_equal(axis[0] + k * candidate, axis):
-            return float(candidate)
-    deviation = np.max(np.abs(np.diff(axis) - base))
-    if deviation > 1e-6 * base:
-        raise ValidationError(
-            f"{what}: axis spacing varies by {deviation:.3e} (> 1e-6 relative)"
-        )
-    return float(base)
-
-
-def _grid_from_times(times: np.ndarray, path) -> SamplingGrid:
-    dt = _recover_spacing(times, f"{path}: time axis")
+def _read_grid(path, axis: np.ndarray, what: str, grid_at, axis_of) -> SamplingGrid:
+    """The grid_at(spacing) whose own axis_of equals the file's axis, for the
+    mean spacing (exact only to rounding) or a float up to two steps from it;
+    else, for an axis uniform to 1e-6 relative, the grid at the mean spacing."""
+    spacing = (axis[-1] - axis[0]) / (axis.size - 1)
     try:
-        return SamplingGrid(n=times.size, dt=dt, t_start=float(times[0]))
+        if not spacing > 0:
+            raise ValidationError(f"{what}: axis must be strictly increasing")
+        lo, hi = np.nextafter(spacing, 0.0), np.nextafter(spacing, math.inf)
+        for candidate in (spacing, lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, math.inf)):
+            try:
+                grid = grid_at(float(candidate))
+            except ValidationError:  # not a grid, so not the writer's
+                continue
+            if np.array_equal(axis_of(grid), axis):
+                return grid
+        deviation = np.max(np.abs(np.diff(axis) - spacing))
+        if deviation > 1e-6 * spacing:
+            raise ValidationError(
+                f"{what}: axis spacing varies by {deviation:.3e} (> 1e-6 relative)"
+            )
+        return grid_at(float(spacing))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -209,7 +203,8 @@ def write_intensity_csv(path, w: Waveform) -> None:
 def read_timeseries_csv(path) -> Waveform:
     """Read a time_s,field file, or a time_s,intensity file as the field sqrt(I)."""
     header, data = _read_csv(path, {FIELD_HEADER, INTENSITY_HEADER})
-    grid = _grid_from_times(data[:, 0], path)
+    grid = _read_grid(path, data[:, 0], "time axis",
+                      lambda dt: SamplingGrid(len(data), dt, data[0, 0]), SamplingGrid.times)
     samples = data[:, 1]
     if header == INTENSITY_HEADER:
         if np.any(samples < 0):
@@ -225,28 +220,31 @@ def write_spectrum_csv(path, s: Spectrum) -> None:
 def read_spectrum_csv(path, grid: SamplingGrid | None = None) -> Spectrum:
     """Read a complex spectrum; the time origin is not stored in the file.
 
-    Given the originating waveform's grid, check the file's n and df (1e-9
-    relative) against it and use it verbatim, since a dt rebuilt from the
-    detunings can drift by an ulp; without one, centre the window on t = 0.
+    Its grid is the one whose own detunings are the file's.  Given the
+    originating waveform's grid, check the file's n and df (1e-9 relative)
+    against it and use it verbatim; without one, centre the window on t = 0.
     """
     _, data = _read_csv(path, {SPECTRUM_HEADER})
     deltas = data[:, 0]
     n = deltas.size
-    df = _recover_spacing(deltas, f"{path}: detuning axis")
-    if abs(deltas[0] + (n // 2) * df) > 1e-6 * df * n:
+
+    def lattice(df: float) -> SamplingGrid:
+        dt = 1.0 / (n * df)
+        # detunings do not depend on t_start; 0 admits a reference window over 2*SCALE
+        return SamplingGrid(n, dt, -0.5 * n * dt if grid is None else 0.0)
+
+    found = _read_grid(path, deltas, "detuning axis", lattice, SamplingGrid.detunings)
+    if abs(deltas[0] + (n // 2) * found.df) > 1e-6 * found.df * n:
         raise ValidationError(f"{path}: detuning axis is not centered on 0 Hz")
     if grid is None:
-        dt = 1.0 / (n * df)
-        try:
-            grid = SamplingGrid(n=n, dt=dt, t_start=-0.5 * n * dt)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-    elif n != grid.n or not math.isclose(df, grid.df, rel_tol=1e-9):
+        grid = found
+    elif n != grid.n or not math.isclose(found.df, grid.df, rel_tol=1e-9):
         raise ValidationError(
-            f"{path}: spectrum lattice (n={n}, df={df:.6g} Hz) does not match "
+            f"{path}: spectrum lattice (n={n}, df={found.df:.6g} Hz) does not match "
             f"the reference grid (n={grid.n}, df={grid.df:.6g} Hz)"
         )
-    return Spectrum(grid, data[:, 1] + 1j * data[:, 2])
+    # the (re, im) pairs viewed as complex, so a -0.0 part keeps its sign
+    return Spectrum(grid, np.ascontiguousarray(data[:, 1:]).view(np.complex128)[:, 0])
 
 
 def write_intensity_spectrum_csv(path, detunings: np.ndarray, values: np.ndarray) -> None:

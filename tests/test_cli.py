@@ -186,6 +186,24 @@ def test_propagate_compensate_decompose_flow(tmp_path, capsys):
         assert (comps / f"component_{name}.csv").exists()
 
 
+def test_compensate_without_time_ref_keeps_the_detuning_column(tmp_path):
+    # the grid read from the spectrum alone writes the detunings it was read from
+    pulse, spectrum = tmp_path / "p.csv", tmp_path / "s.csv"
+    compensated, gain = tmp_path / "c.csv", tmp_path / "g.csv"
+    assert main(["synth", "--kind", "gaussian", "--t0-us", "6.5", "--out", str(pulse),
+                 "--spectrum-out", str(spectrum)]) == 0
+    assert main(["compensate", "--spectrum", str(spectrum), "--peak", "0.615",
+                 "--background", "0.10", "--fwhm-khz", "350", "--out", str(tmp_path / "r.csv"),
+                 "--compensated-spectrum-out", str(compensated),
+                 "--gain-out", str(gain)]) == 0
+
+    def first_column(path):
+        return [line.split(",", 1)[0] for line in path.read_text().splitlines()[1:]]
+
+    assert first_column(compensated) == first_column(spectrum)
+    assert first_column(gain) == first_column(spectrum)
+
+
 def test_run_bundled_scenario(tmp_path, capsys):
     out_dir = tmp_path / "fig2a"
     assert main(["run", "fig2a", "--out-dir", str(out_dir)]) == 0

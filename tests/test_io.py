@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from slowlight import (
+    AMG,
+    GAUSSIAN,
     MeasuredTransmission,
     NumericError,
+    PulseSpec,
     SamplingGrid,
     Spectrum,
     ValidationError,
@@ -117,7 +120,48 @@ def test_spectrum_default_time_origin(tmp_path, amg_spec):
     path = tmp_path / "s.csv"
     write_spectrum_csv(path, s)
     loaded = read_spectrum_csv(path)
-    assert loaded.grid.t_start == pytest.approx(s.grid.t_start, rel=1e-9)
+    assert loaded.grid == s.grid
+
+
+@pytest.mark.parametrize(
+    "kind, t0_us",
+    [(GAUSSIAN, t0) for t0 in (0.5, 2.0, 6.5, 13.0, 26.0, 52.0, 100.0)]
+    + [(AMG, t0) for t0 in (1.0, 2.5, 6.5, 9.0)],
+)
+def test_default_grids_round_trip_exactly(tmp_path, kind, t0_us):
+    # every file reads back to the grid and the bits it was written from, and
+    # rewrites its bytes; a default grid is centred on t = 0, so a spectrum
+    # read without its grid gets that grid back too
+    w = synth(PulseSpec(kind, t0_us * 1e-6, mod_depth=1.0, mod_freq=700e3))
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    field, magnitude = w.samples, np.abs(w.samples).astype(complex)
+    for write, expected in ((write_waveform_csv, field), (write_intensity_csv, magnitude)):
+        write(p1, w)
+        loaded = read_timeseries_csv(p1)
+        assert loaded.grid == w.grid
+        assert loaded.samples.tobytes() == expected.tobytes()
+        write(p2, loaded)
+        assert p2.read_bytes() == p1.read_bytes()
+
+    samples = dft(w).samples.copy()
+    samples[0] = complex(-0.0, 0.0)
+    s = Spectrum(w.grid, samples)
+    write_spectrum_csv(p1, s)
+    for grid in (None, s.grid):
+        loaded = read_spectrum_csv(p1, grid)
+        assert loaded.grid == s.grid
+        assert loaded.samples.tobytes() == s.samples.tobytes()
+        write_spectrum_csv(p2, loaded)
+        assert p2.read_bytes() == p1.read_bytes()
+
+
+@pytest.mark.parametrize("n, dt", [(8, 1e-18), (4096, 1e18)])
+def test_grid_at_a_dt_bound_reads_back(tmp_path, n, dt):
+    # a float beside the mean spacing that lies outside dt's domain is skipped
+    grid = SamplingGrid(n, dt)
+    path = tmp_path / "w.csv"
+    write_waveform_csv(path, Waveform(grid, np.hanning(n + 2)[1:-1]))
+    assert read_timeseries_csv(path).grid == grid
 
 
 def test_detuning_series_round_trips(tmp_path):
