@@ -10,9 +10,14 @@ a few C-level string passes rewrite its text into repr's exponent and
 small-number forms.  The first column of every file is a time or detuning
 axis; its formatted text is memoised for the last two distinct axes, so the
 artifacts of one pipeline format each axis once.  Readers take ASCII text
-only and parse it in one np.loadtxt pass that hands each cell to Python's
-float, so spaces, tabs and 1_0 are accepted and a '#' is a malformed cell,
-not a comment.  They reject non-finite cells and read the axis back as the
+only, and a cell follows Python's float grammar, so spaces, tabs and 1_0
+are accepted and a '#' is a malformed cell, not a comment.  A file of rows
+of JSON numbers, as every file this package writes is, is parsed by orjson
+in blocks of READ_BLOCK_BYTES into one preallocated array.  A block holding
+any other byte, a row of another width or an integer -0 (which orjson reads
+as +0) sends the whole file to one np.loadtxt pass that hands each cell to
+float, so both paths give the same values and every error comes from the
+second.  Readers reject non-finite cells and read the axis back as the
 SamplingGrid whose own times() or detunings() equal it, so the grid a
 writer used is the grid read back; an axis that no grid reproduces must be
 uniform to 1e-6 relative.
@@ -49,6 +54,8 @@ METRICS_HEADER = "metric,value"
 
 # rows formatted and written per step; bounds the transient text the writer holds
 BLOCK_ROWS = 1024
+# bytes a reader parses per orjson call, up to the next line end
+READ_BLOCK_BYTES = 1 << 14
 
 
 # orjson prints the shortest round-trip digits, as repr does, in other text:
@@ -60,6 +67,15 @@ BLOCK_ROWS = 1024
 _UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
 _ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
 _FIXED_E05 = re.compile(r"0\.0000(?<![\d.]0\.0000)([1-9])(\d*)")
+
+
+# the bytes of JSON numbers and the blanks around them, all of which float()
+# reads too; a reader's block goes to orjson only when deleting these leaves
+# n_cols - 1 commas per row
+_JSON_NUMBER_BYTES = b"0123456789eE+-. \t"
+# orjson reads the integer token -0 as the int 0, where float gives -0.0; this
+# also matches the exponent e-0, whose block is then parsed as lines
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![\d.eE])")
 
 
 def _e05(m: re.Match) -> str:
@@ -132,7 +148,55 @@ def read_ascii_text(path) -> str:
 
 
 def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
-    lines = read_ascii_text(path).splitlines()
+    raw = Path(path).read_bytes()
+    start = raw.find(b"\n") + 1
+    header = raw[:start - 1].decode("latin-1")  # any byte decodes; only an expected header matches
+    data = None
+    if start and header in expected_headers:
+        data = _parse_blocks(raw, start, header.count(",") + 1)
+    if data is None:
+        header, data = _parse_lines(path, read_ascii_text(path), expected_headers)
+    _reject_non_finite(path, data)
+    return header, data
+
+
+def _parse_blocks(raw: bytes, start: int, n_cols: int) -> np.ndarray | None:
+    """The newline-separated rows of raw[start:] as a rows x n_cols float64
+    array, parsed by orjson in blocks of about READ_BLOCK_BYTES; None when a
+    block is not rows of n_cols JSON numbers that float reads alike, or there
+    are fewer than 2 rows, so the caller parses the file as lines."""
+    import orjson  # loaded on the first read or write, so processes without files skip it
+
+    stop = len(raw) - raw.endswith(b"\n")
+    n_rows = raw.count(b"\n", start, stop) + 1
+    if n_rows < 2:
+        return None
+    data = np.empty((n_rows, n_cols))
+    flat = data.reshape(-1)
+    row_seps = b"," * (n_cols - 1) + b"\n"
+    lo = 0
+    while start < stop:
+        end = raw.find(b"\n", start + READ_BLOCK_BYTES, stop)
+        block = raw[start:stop if end < 0 else end]
+        # what the deletion leaves is the block's separators, or a byte no cell may hold
+        seps = block.translate(None, _JSON_NUMBER_BYTES) + b"\n"
+        if seps != row_seps * (len(seps) // n_cols):
+            return None
+        try:
+            values = orjson.loads(b"[" + block.replace(b"\n", b",") + b"]")
+        except orjson.JSONDecodeError:
+            return None
+        hi = lo + len(values)
+        flat[lo:hi] = values
+        if not flat[lo:hi].all() and _INTEGER_MINUS_ZERO.search(block):  # -0 read as 0
+            return None
+        lo, start = hi, stop if end < 0 else end + 1
+    return data if lo == flat.size else None  # a blank last line is a row never filled
+
+
+def _parse_lines(path, text: str, expected_headers) -> tuple[str, np.ndarray]:
+    """Python's float grammar, one cell at a time, for any text the block parse refuses."""
+    lines = text.splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].strip()
@@ -151,7 +215,6 @@ def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
         raise ValidationError(f"{path}: malformed numeric row ({exc.__cause__ or exc})") from exc
     if data.shape[1] != n_cols:
         raise ValidationError(f"{path}: expected {n_cols} columns, got {data.shape[1]}")
-    _reject_non_finite(path, data)
     return header, data
 
 

@@ -1,4 +1,4 @@
-"""Block-wise CSV writer and one-pass reader against a per-cell reference.
+"""Block-wise CSV writer and reader against a per-cell reference.
 
 The reference functions below are the straightforward forms of the writer
 (repr of each cell, row by row) and the reader (float() of each cell in a
@@ -6,6 +6,7 @@ nested list): the io functions must produce the same bytes and the same
 arrays, and fail on the same inputs.
 """
 
+import math
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ import slowlight
 from slowlight import ValidationError
 from slowlight.io import (
     BLOCK_ROWS,
+    READ_BLOCK_BYTES,
     _axis_blocks,
     _read_csv,
     _write_csv,
@@ -29,7 +31,11 @@ from slowlight.io import (
     read_spectrum_csv,
     read_timeseries_csv,
     read_transmission_csv,
+    write_spectrum_csv,
+    write_waveform_csv,
 )
+from slowlight.signal import SamplingGrid, Waveform
+from slowlight.spectral import Spectrum
 
 HEADERS = {2: "time_s,field", 3: "detuning_hz,re,im"}
 EDGE_LENGTHS = (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
@@ -157,6 +163,36 @@ def test_writer_peak_memory_is_one_table_copy_plus_a_block(tmp_path):
     assert path.stat().st_size > 2 * peak
 
 
+def _package_tables(tmp_path, n):
+    """A spectrum and a field file of n rows, as the package writes them."""
+    rng = np.random.default_rng(n)
+    grid = SamplingGrid(n, 1e-9, -0.5 * n * 1e-9)
+    spectrum, field = tmp_path / "s.csv", tmp_path / "w.csv"
+    write_spectrum_csv(spectrum, Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    write_waveform_csv(field, Waveform(grid, rng.standard_normal(n)))
+    return spectrum, field
+
+
+@pytest.mark.parametrize("reader,which", [(read_spectrum_csv, 0), (read_timeseries_csv, 1)],
+                         ids=["spectrum", "timeseries"])
+def test_reader_peak_memory_is_the_file_and_two_tables(tmp_path, reader, which):
+    n = 1 << 16
+    path = _package_tables(tmp_path, n)[which]
+    reader(path)  # orjson and numpy's lazy parts load before the count starts
+    tracemalloc.start()
+    try:
+        reader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, the float64 table parsed into (1536 KiB for a spectrum,
+    # 1024 KiB for a field) and one block's text and values: 5.61 MB and
+    # 3.68 MB measured.  The file decoded to str as well, a list of the lines or
+    # one Python float per cell (the line-wise parse: 11.4 MB and 8.7 MB) breaks it.
+    table = n * (3 - which) * 8
+    assert peak < path.stat().st_size + 2 * table
+
+
 def test_orjson_is_loaded_by_the_first_write_only(tmp_path):
     script = (
         "import sys; import slowlight, slowlight.cli, slowlight.io as sio; "
@@ -168,6 +204,24 @@ def test_orjson_is_loaded_by_the_first_write_only(tmp_path):
     subprocess.run([sys.executable, "-c", script, str(tmp_path / "g.csv")], check=True,
                    timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert (tmp_path / "g.csv").read_text() == "detuning_hz,intensity_gain\n0.0,1.0\n1.0,0.5\n"
+
+
+def test_orjson_is_loaded_by_the_first_read_only(tmp_path):
+    script = (
+        "import sys; import slowlight, slowlight.cli, slowlight.io as sio; "
+        "slowlight.load_scenario('fig2a'); "
+        "assert slowlight.cli.main(['calibrate', '--peak', '0.615', '--background', '0.10', "
+        "'--fwhm-khz', '350']) == 0; "
+        "assert 'orjson' not in sys.modules, 'imported before any file'; "
+        "d, g = sio.read_detuning_series_csv(sys.argv[1]); "
+        "assert 'orjson' in sys.modules, 'not imported by the reader'; "
+        "assert d.tolist() == [0.0, 1.0] and g.tolist() == [1.0, 0.5]"
+    )
+    path = tmp_path / "g.csv"
+    path.write_text("detuning_hz,intensity_gain\n0.0,1.0\n1.0,0.5\n")
+    src = str(Path(slowlight.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script, str(path)], check=True, capture_output=True,
+                   timeout=60, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_writer_rejects_columns_of_different_lengths(tmp_path):
@@ -182,8 +236,21 @@ def test_writer_rejects_columns_of_different_lengths(tmp_path):
         "time_s,field\n\n0.0,1.0\n\n1e-6,2.0\n\n",
         " time_s,field \n 0.0 , 1_0 \n1e-6,\t2.0\n",
         "time_s,field\n0.0,1.0\n1e-6,2.0",
+        "time_s,field\n0.0,-0\n1e-6,2.0\n",
+        "time_s,field\n0.0, -0 \n1e-6,2.0\n",
+        "time_s,field\n0.0,-00\n1e-6,2.0\n",
+        "time_s,field\n0.0,01\n1e-6,2.0\n",
+        "time_s,field\n0.0,1e-0\n1e-6,2.0\n",
+        "time_s,field\n0.0,-0e0\n1e-6,2.0\n",
+        "time_s,field\n0.0,9007199254740993\n1e-6,2.0\n",
+        "time_s,field\n0.0,18446744073709551616\n1e-6,2.0\n",
+        "time_s,field\n0.0,-9223372036854775809\n1e-6,2.0\n",
+        "time_s,field\n0.0,1.0\n\x0c1e-6,2.0\n",
+        "time_s,field\n0.0,1.0\n1e-6,2.0\n\n",
     ],
-    ids=["crlf", "blank-lines", "spaces-and-underscore", "no-final-newline"],
+    ids=["crlf", "blank-lines", "spaces-and-underscore", "no-final-newline", "minus-0",
+         "padded-minus-0", "minus-00", "leading-zero", "exponent-minus-0", "minus-0-exponent",
+         "2**53+1", "2**64", "-2**63-1", "form-feed-line", "blank-last-line"],
 )
 def test_reader_parses_like_reference(tmp_path, text):
     path = tmp_path / "r.csv"
@@ -206,9 +273,17 @@ def test_reader_parses_like_reference(tmp_path, text):
         "time_s,field\n0.0,1.0\n   \n",
         "time_s,field\n0.0,1.0\n",
         "time_s,field\n",
+        "time_s,field\n0.0\n1e-6\n",
+        "time_s,field\n0.0,true\n1e-6,2.0\n",
+        "time_s,field\n0.0,false\n1e-6,2.0\n",
+        "time_s,field\n0.0,null\n1e-6,2.0\n",
+        "time_s,field\n0.0,[1.0]\n1e-6,2.0\n",
+        "time_s,field\n0.0,1],[2,3.0\n1e-6,2.0\n",
+        "time_s,field\n0.0,\x0c1.0\n1e-6,2.0\n",
     ],
     ids=["header", "short-row", "long-row", "long-then-short-row", "wide-rows", "malformed-cell",
-         "blank-cells", "one-row", "no-rows"],
+         "blank-cells", "one-row", "no-rows", "narrow-rows", "true", "false", "null", "json-array",
+         "bracketed-row-pair", "form-feed-cell"],
 )
 def test_reader_rejects_like_reference(tmp_path, text):
     path = tmp_path / "bad.csv"
@@ -219,9 +294,23 @@ def test_reader_rejects_like_reference(tmp_path, text):
         _read_csv(path, {"time_s,field"})
 
 
+@pytest.mark.parametrize("token", ["true", "false", "null", "[1.0]", '"1.0"'])
+def test_json_values_are_malformed_cells(tmp_path, token):
+    path = tmp_path / "json.csv"
+    path.write_text(f"time_s,field\n0.0,{token}\n1e-6,2.0\n")
+    with pytest.raises(ValidationError) as info:
+        _read_csv(path, {"time_s,field"})
+    assert str(info.value) == (
+        f"{path}: malformed numeric row (could not convert string to float: {token!r})")
+
+
 # cells that are not plain float reprs; Python's float accepts some of them
 ODD_CELLS = ("", " ", "#", "#1.0", "1.0#", '"1.0"', "'1.0'", "1__0", "_1", "1_", "1.0e",
-             "nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "infinity", "0x10")
+             "nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "infinity", "0x10",
+             # JSON's other tokens, and numbers JSON spells or reads otherwise than float
+             "true", "false", "null", "[1.0]", "1],[2", "-0", " -0 ", "-00", "01", "1e-0", "-0e0",
+             "9007199254740993", "18446744073709551616", "-9223372036854775809", "1e400",
+             "\x0c1.0")
 
 
 @st.composite
@@ -276,10 +365,49 @@ def test_reader_grammar_matches_reference(csv_file, text):
 def test_ragged_row_past_first_block_is_rejected(tmp_path):
     rows = [f"{k * 1e-6!r},1.0" for k in range(BLOCK_ROWS + 8)]
     rows[BLOCK_ROWS + 3] += ",2.0"
+    text = "\n".join(["time_s,field"] + rows) + "\n"
+    # the first parse block ends at the first line end READ_BLOCK_BYTES or more past the header
+    assert text.index(rows[BLOCK_ROWS + 3]) > len("time_s,field\n") + READ_BLOCK_BYTES
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join(["time_s,field"] + rows) + "\n")
+    path.write_text(text)
     with pytest.raises(ValidationError, match="columns"):
         _read_csv(path, {"time_s,field"})
+
+
+def test_blank_last_line_after_a_parse_block_is_not_a_row(tmp_path):
+    # the last row's line end is the first at or past READ_BLOCK_BYTES, so the
+    # first block ends there and the blank line is all that is left
+    rows, size = [], 0
+    while size <= READ_BLOCK_BYTES:
+        rows.append(f"{len(rows) * 1e-6!r},1.0")
+        size += len(rows[-1]) + 1
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(["time_s,field"] + rows) + "\n\n")
+    header, data = _read_csv(path, {"time_s,field"})
+    assert data.tobytes() == reference_read(path, {header})[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [("oops", "malformed numeric row (could not convert string to float: 'oops')"),
+     ("1e400", "non-finite value inf in data row 4096, column 3"),
+     ("-0", None)],
+    ids=["malformed", "overflow", "minus-0"],
+)
+def test_cell_in_the_last_parse_block_of_a_long_table(tmp_path, bad, message):
+    n = 4096
+    path = _package_tables(tmp_path, n)[0]
+    assert path.stat().st_size > 8 * READ_BLOCK_BYTES
+    *rows, last, end = path.read_text().split("\n")
+    path.write_text("\n".join([*rows, last.rsplit(",", 1)[0] + "," + bad, end]))
+    if message is None:
+        header, data = _read_csv(path, {"detuning_hz,re,im"})
+        assert data.tobytes() == reference_read(path, {header})[1].tobytes()
+        assert math.copysign(1.0, data[-1, 2]) == -1.0
+    else:
+        with pytest.raises(ValidationError) as info:
+            read_spectrum_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 def _table(header: str, bad: str) -> str:
@@ -290,7 +418,7 @@ def _table(header: str, bad: str) -> str:
     return "\n".join([header] + rows) + "\n"
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity", "1e400", "-1e400"])
 @pytest.mark.parametrize(
     "reader,header",
     [
