@@ -14,13 +14,13 @@ only, and a cell follows Python's float grammar, so spaces, tabs and 1_0
 are accepted and a '#' is a malformed cell, not a comment.  A file of rows
 of JSON numbers, as every file this package writes is, is parsed by orjson
 in blocks of READ_BLOCK_BYTES into one preallocated array.  A block holding
-any other byte, a row of another width or an integer -0 (which orjson reads
-as +0) sends the whole file to one np.loadtxt pass that hands each cell to
-float, so both paths give the same values and every error comes from the
-second.  Readers reject non-finite cells and read the axis back as the
-SamplingGrid whose own times() or detunings() equal it, so the grid a
-writer used is the grid read back; an axis that no grid reproduces must be
-uniform to 1e-6 relative.
+any other byte, a row of another width, a number orjson rejects or an
+integer -0 (which orjson reads as +0) sends the whole file to one
+np.loadtxt pass that hands each cell to float, so both paths give the same
+values and every error comes from the second.  Readers reject non-finite
+cells and read the axis back as the SamplingGrid whose own times() or
+detunings() equal it, so the grid a writer used is the grid read back; an
+axis that no grid reproduces must be uniform to 1e-6 relative.
 
 A waveform is written as its field (time_s,field) or as the intensity
 |e|^2 a detector records (time_s,intensity), and either file reads back as

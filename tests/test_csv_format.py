@@ -163,21 +163,23 @@ def test_writer_peak_memory_is_one_table_copy_plus_a_block(tmp_path):
     assert path.stat().st_size > 2 * peak
 
 
-def _package_tables(tmp_path, n):
-    """A spectrum and a field file of n rows, as the package writes them."""
+def _package_file(tmp_path, n, n_cols):
+    """A spectrum (3 columns) or field (2 columns) file of n rows, as the package writes it."""
     rng = np.random.default_rng(n)
     grid = SamplingGrid(n, 1e-9, -0.5 * n * 1e-9)
-    spectrum, field = tmp_path / "s.csv", tmp_path / "w.csv"
-    write_spectrum_csv(spectrum, Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    write_waveform_csv(field, Waveform(grid, rng.standard_normal(n)))
-    return spectrum, field
+    path = tmp_path / f"{n_cols}.csv"
+    if n_cols == 3:
+        write_spectrum_csv(path, Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    else:
+        write_waveform_csv(path, Waveform(grid, rng.standard_normal(n)))
+    return path
 
 
-@pytest.mark.parametrize("reader,which", [(read_spectrum_csv, 0), (read_timeseries_csv, 1)],
+@pytest.mark.parametrize("reader,n_cols", [(read_spectrum_csv, 3), (read_timeseries_csv, 2)],
                          ids=["spectrum", "timeseries"])
-def test_reader_peak_memory_is_the_file_and_two_tables(tmp_path, reader, which):
+def test_reader_peak_memory_is_the_file_and_two_tables(tmp_path, reader, n_cols):
     n = 1 << 16
-    path = _package_tables(tmp_path, n)[which]
+    path = _package_file(tmp_path, n, n_cols)
     reader(path)  # orjson and numpy's lazy parts load before the count starts
     tracemalloc.start()
     try:
@@ -189,7 +191,7 @@ def test_reader_peak_memory_is_the_file_and_two_tables(tmp_path, reader, which):
     # 1024 KiB for a field) and one block's text and values: 5.61 MB and
     # 3.68 MB measured.  The file decoded to str as well, a list of the lines or
     # one Python float per cell (the line-wise parse: 11.4 MB and 8.7 MB) breaks it.
-    table = n * (3 - which) * 8
+    table = n * n_cols * 8
     assert peak < path.stat().st_size + 2 * table
 
 
@@ -396,7 +398,7 @@ def test_blank_last_line_after_a_parse_block_is_not_a_row(tmp_path):
 )
 def test_cell_in_the_last_parse_block_of_a_long_table(tmp_path, bad, message):
     n = 4096
-    path = _package_tables(tmp_path, n)[0]
+    path = _package_file(tmp_path, n, 3)
     assert path.stat().st_size > 8 * READ_BLOCK_BYTES
     *rows, last, end = path.read_text().split("\n")
     path.write_text("\n".join([*rows, last.rsplit(",", 1)[0] + "," + bad, end]))
