@@ -3,12 +3,16 @@
 All writers emit a header row and shortest round-trip float formatting: the
 bytes of `repr` of each float64 value, so write -> read -> write is
 byte-identical for files this package produced.  Writers reject non-finite
-values before opening the file, since the readers reject them too (and the
-formatter would write nan as null).  Rows are formatted and written in
-blocks of BLOCK_ROWS: one orjson call prints a block's shortest digits, and
-a few C-level string passes rewrite its text into repr's exponent and
-small-number forms.  The first column of every file is a time or detuning
-axis; its formatted text is memoised for the last two distinct axes, so the
+values and tables of fewer than 2 rows before opening the file, since the
+readers reject them too (and the formatter would write nan as null).  Rows
+are formatted and written in blocks of BLOCK_ROWS: one orjson call prints a
+block's shortest digits as a row template, each row waiting for its axis
+cell, and one % fill puts the axis cells in.  A few C-level string passes
+rewrite the text into repr's exponent and small-number forms; each runs only
+on a block holding a cell whose |x| lies in the band it rewrites, which is
+exact because the exponent of the shortest digits changes at fl(10**k).  The
+first column of every file is a time or detuning axis; its formatted text is
+memoised, newline-joined per block, for the last two distinct axes, so the
 artifacts of one pipeline format each axis once.  Readers take ASCII text
 only, and a cell follows Python's float grammar, so spaces, tabs and 1_0
 are accepted and a '#' is a malformed cell, not a comment.  A file of rows
@@ -82,16 +86,21 @@ def _e05(m: re.Match) -> str:
     return f"{m[1]}.{m[2]}e-05" if m[2] else f"{m[1]}e-05"
 
 
-def _format_rows(table: np.ndarray) -> str:
-    """The rows of a C-contiguous rows x columns float64 array as newline-joined
-    CSV lines, each cell the text repr gives it; every cell must be finite."""
+def _format_rows(table: np.ndarray, sep: str) -> str:
+    """The rows of a C-contiguous rows x columns float64 array as CSV lines
+    joined by sep, each cell the text repr gives it; every cell must be finite."""
     import orjson  # loaded on the first write, so processes that never write skip it
 
     text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii")
-    text = text[2:-2].replace("],[", "\n")
-    text = _UNSIGNED_EXPONENT.sub("e+", text)
-    text = _ONE_DIGIT_EXPONENT.sub("e-0", text)
-    if "0.0000" in text:
+    text = text[2:-2].replace("],[", sep)
+    # each pass runs only on a block holding a cell in the band it rewrites;
+    # exact, since the shortest digits change exponent at fl(10**k)
+    magnitude = np.abs(table)
+    if (magnitude >= 1e16).any():
+        text = _UNSIGNED_EXPONENT.sub("e+", text)
+    if ((magnitude >= 1e-9) & (magnitude < 1e-5)).any():
+        text = _ONE_DIGIT_EXPONENT.sub("e-0", text)
+    if ((magnitude >= 1e-5) & (magnitude < 1e-4)).any():
         text = _FIXED_E05.sub(_e05, text)
     return text
 
@@ -100,7 +109,8 @@ def _format_rows(table: np.ndarray) -> str:
 def _axis_blocks(raw: bytes) -> tuple[str, ...]:
     """Formatted axis values, newline-joined per block of BLOCK_ROWS."""
     axis = np.frombuffer(raw, dtype=np.float64)[:, None]
-    return tuple(_format_rows(axis[lo:lo + BLOCK_ROWS]) for lo in range(0, axis.shape[0], BLOCK_ROWS))
+    return tuple(_format_rows(axis[lo:lo + BLOCK_ROWS], "\n")
+                 for lo in range(0, axis.shape[0], BLOCK_ROWS))
 
 
 def _reject_non_finite(path, data: np.ndarray) -> None:
@@ -121,12 +131,15 @@ def _write_csv(path, header: str, columns) -> None:
             f"{path}: columns must be 1-D and of one length, got shapes "
             f"{[axis.shape] + [c.shape for c in data]}"
         )
+    if axis.size < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {axis.size}")
     _reject_non_finite(path, np.column_stack((axis, *data)))
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")
         for lo, axis_text in zip(range(0, axis.size, BLOCK_ROWS), _axis_blocks(axis.tobytes())):
-            rows = _format_rows(np.column_stack([c[lo:lo + BLOCK_ROWS] for c in data]))
-            f.write("\n".join(map(",".join, zip(axis_text.split("\n"), rows.split("\n")))) + "\n")
+            # a template of the block's rows, each waiting for its axis cell
+            rows = _format_rows(np.column_stack([c[lo:lo + BLOCK_ROWS] for c in data]), "\n%s,")
+            f.write(("%s," + rows + "\n") % tuple(axis_text.split("\n")))
 
 
 def write_metrics_csv(path, rows) -> None:

@@ -12,7 +12,9 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import slowlight
+import slowlight.io as sio
 from slowlight import ValidationError
 from slowlight.io import (
     BLOCK_ROWS,
@@ -31,6 +34,8 @@ from slowlight.io import (
     read_spectrum_csv,
     read_timeseries_csv,
     read_transmission_csv,
+    write_gain_csv,
+    write_intensity_spectrum_csv,
     write_spectrum_csv,
     write_waveform_csv,
 )
@@ -45,7 +50,20 @@ SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
            # and signed exponents, the last float repr writes without one, and "0.0000"
            # inside a number outside the band
            1e-05, -1e-05, 1.5e-05, 9.999999999999999e-05, 1e-04, 1e-09, 1.5e-07,
-           9999999999999998.0, 1e+100, 1e-100, 10.00001, 100.00001)
+           9999999999999998.0, 1e+100, 1e-100, 10.00001, 100.00001,
+           # the float below each rewrite's lower threshold
+           9.999999999999999e-10, 9.999999999999999e-06)
+
+# each threshold of the formatter's rewrites, the float below it, and the pass
+# each needs: repr writes 1e+16, 1e-09, 1e-05 and 9.999999999999999e-06 where
+# orjson writes 1e16, 1e-9, 0.00001 and 9.999999999999999e-6
+GUARD_EDGES = {
+    1e16: "e+", 9999999999999998.0: None,
+    1e-09: "e-0", 9.999999999999999e-10: None,
+    1e-05: "e05", 9.999999999999999e-06: "e-0",
+    1e-04: None, 9.999999999999999e-05: "e05",
+}
+SIGNED_GUARD_EDGES = tuple(sign * v for v in GUARD_EDGES for sign in (1.0, -1.0))
 
 
 def reference_text(header, columns) -> str:
@@ -104,12 +122,17 @@ finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPEC
 def test_writer_bytes_match_reference_and_parse_back_exactly(csv_file, n, n_cols, data):
     table = data.draw(hnp.arrays(np.float64, (n_cols, n), elements=finite))
     header = HEADERS[n_cols]
+    csv_file.unlink(missing_ok=True)
+    if n < 2:  # a file the readers would refuse is never created
+        with pytest.raises(ValidationError, match=re.escape(f"{csv_file}: need at least 2 data rows")):
+            _write_csv(csv_file, header, list(table))
+        assert not csv_file.exists()
+        return
     _write_csv(csv_file, header, list(table))
     assert csv_file.read_bytes() == reference_text(header, table).encode("ascii")
-    if n >= 2:
-        got_header, parsed = _read_csv(csv_file, {header})
-        assert got_header == header
-        assert parsed.tobytes() == np.ascontiguousarray(table.T).tobytes()
+    got_header, parsed = _read_csv(csv_file, {header})
+    assert got_header == header
+    assert parsed.tobytes() == np.ascontiguousarray(table.T).tobytes()
 
 
 @pytest.mark.parametrize("n", EDGE_LENGTHS)
@@ -119,6 +142,12 @@ def test_block_edges_and_axis_memo(tmp_path, n, n_cols):
     cols = _columns_with_specials(n_cols, n)
     first, again = tmp_path / "a.csv", tmp_path / "b.csv"
     _axis_blocks.cache_clear()
+    if n < 2:  # rejected before the file is opened or the axis formatted
+        with pytest.raises(ValidationError, match="need at least 2 data rows"):
+            _write_csv(first, header, cols)
+        assert not first.exists()
+        assert _axis_blocks.cache_info().misses == 0
+        return
     _write_csv(first, header, cols)
     # second write reuses the formatted axis; the data must still be formatted afresh
     other = [cols[0]] + [c[::-1].copy() for c in cols[1:]]
@@ -127,6 +156,71 @@ def test_block_edges_and_axis_memo(tmp_path, n, n_cols):
     assert (memo.hits, memo.misses, memo.maxsize) == (1, 1, 2)  # only the axis is memoised
     assert first.read_text() == reference_text(header, cols)
     assert again.read_text() == reference_text(header, other)
+
+
+def _passes_run(monkeypatch) -> list[str]:
+    """The names of the formatter's rewrite passes, appended as each runs."""
+    log = []
+    for name, attr in (("e+", "_UNSIGNED_EXPONENT"), ("e-0", "_ONE_DIGIT_EXPONENT"),
+                       ("e05", "_FIXED_E05")):
+        def sub(repl, text, pattern=getattr(sio, attr), name=name):
+            log.append(name)
+            return pattern.sub(repl, text)
+        monkeypatch.setattr(sio, attr, SimpleNamespace(sub=sub))
+    return log
+
+
+def _neutral_columns(n: int) -> list[np.ndarray]:
+    """An axis and a data column whose cells no rewrite pass touches."""
+    return [np.arange(n) * 0.25, np.full(n, 0.5)]
+
+
+@pytest.mark.parametrize("layout", ["edges", "whole"])
+@pytest.mark.parametrize("col", [0, 1], ids=["axis", "data"])
+@pytest.mark.parametrize("value", SIGNED_GUARD_EDGES, ids=repr)
+def test_rewrite_runs_on_exactly_the_blocks_that_need_it(tmp_path, monkeypatch, value, col, layout):
+    # the value fills the second block's first and last rows, or all of it
+    n = 2 * BLOCK_ROWS
+    cols = _neutral_columns(n)
+    cols[col][[BLOCK_ROWS, n - 1] if layout == "edges" else slice(BLOCK_ROWS, n)] = value
+    _axis_blocks.cache_clear()
+    log = _passes_run(monkeypatch)
+    path = tmp_path / "edge.csv"
+    _write_csv(path, HEADERS[2], cols)
+    assert path.read_text() == reference_text(HEADERS[2], cols)
+    need = GUARD_EDGES[abs(value)]
+    assert log == ([need] if need else [])
+
+
+def test_rewrites_of_mixed_threshold_cells(tmp_path, monkeypatch):
+    # each pair in the first and last rows of a full block and of a two-row last block
+    n = BLOCK_ROWS + 2
+    log = _passes_run(monkeypatch)
+    path = tmp_path / "mixed.csv"
+    for a, b in combinations(SIGNED_GUARD_EDGES, 2):
+        cols = _neutral_columns(n)
+        cols[1][[0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]] = (a, b, b, a)
+        log.clear()
+        _write_csv(path, HEADERS[2], cols)
+        assert path.read_text() == reference_text(HEADERS[2], cols), (a, b)
+        needs = {GUARD_EDGES[abs(a)], GUARD_EDGES[abs(b)]} - {None}
+        assert sorted(log) == sorted(2 * list(needs)), (a, b)
+
+
+def test_axis_memo_holds_text_not_cells():
+    n = 1 << 16
+    raw = ((np.arange(n) - n // 2) * 1.2e-9).tobytes()
+    _axis_blocks(raw[:16])  # orjson and numpy's lazy parts load before the count starts
+    _axis_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        blocks = _axis_blocks(raw)  # the key is raw itself, allocated before the count
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one str per block: 1.005x its text measured.  One str per cell costs
+    # about 60 bytes of header beside its 12 or so characters, over 5x.
+    assert retained < 1.5 * sum(map(len, blocks))
 
 
 def test_bulk_writer_bytes_match_reference(tmp_path):
@@ -229,6 +323,17 @@ def test_orjson_is_loaded_by_the_first_read_only(tmp_path):
 def test_writer_rejects_columns_of_different_lengths(tmp_path):
     with pytest.raises(ValidationError, match="one length"):
         _write_csv(tmp_path / "x.csv", "time_s,field", [np.arange(4.0), np.arange(3.0)])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("writer", [write_gain_csv, write_intensity_spectrum_csv],
+                         ids=["gain", "intensity-spectrum"])
+def test_writers_reject_fewer_rows_than_the_readers_take(tmp_path, writer, n):
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValidationError) as info:
+        writer(path, np.zeros(n), np.ones(n))
+    assert str(info.value) == f"{path}: need at least 2 data rows, got {n}"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
