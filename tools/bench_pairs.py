@@ -1,13 +1,14 @@
 """Run the benchmark on two checkouts in alternating pairs and write a BENCH file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \\
-        --change-text "what the change does" [--workload W ...] [--seeds 1-10] [--seconds T]
+        --change-text "what the change does" [--seeds 1-10]
 
 PARENT and CHANGE are source checkouts, each with its own perfbench/ and
 BENCHMARK.json.  Every run is `python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0` as a fresh process in one checkout.  For each workload
-and seed the two checkouts run back to back, and the one that runs first
-alternates from one seed to the next.
+--seconds T --trace 0` as a fresh process in one checkout, for every workload
+W that BENCHMARK.json declares and its run_seconds T, so that the runs are the
+benchmark's own.  For each workload and seed the two checkouts run back to
+back, and the one that runs first alternates from one seed to the next.
 
 The file holds, per workload and side, the median of each metric over its
 runs and the totals of attempted and failed pipelines, in the format
@@ -135,25 +136,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to write")
     parser.add_argument("--change-text", dest="change_text", required=True,
                         help="one line saying what the change does")
-    parser.add_argument("--workload", action="append", help="default: every declared one")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
                         help="seed range A-B, one pair per seed")
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    args.seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results, pairs = {}, {}
-    for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+    for workload in [w["name"] for w in bench["workloads"]]:
         results[workload] = {side: [] for side in SIDES}
         pairs[workload] = []
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                result = run_once(checkouts[side], workload, seed, args.seconds)
+                result = run_once(checkouts[side], workload, seed, seconds)
                 results[workload][side].append(result)
                 pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
                 print(f"{workload} seed {seed} {side}: correct={result['correct']} "
@@ -162,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(report(workload, pairs[workload], better)), flush=True)
 
     seeds = f"{args.seeds[0]}-{args.seeds[-1]}"
-    runs = (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+    runs = (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
             f"--trace 0, seeds {seeds}, parent and change alternating which runs first, "
             f"on one machine of {os.cpu_count()} CPUs")
     doc = bench_file(args.change_text, runs, results, pairs)
