@@ -5,26 +5,28 @@ bytes of `repr` of each float64 value, so write -> read -> write is
 byte-identical for files this package produced.  Writers reject non-finite
 values and tables of fewer than 2 rows before opening the file, since the
 readers reject them too (and the formatter would write nan as null).  Rows
-are formatted and written in blocks of BLOCK_ROWS: one orjson call prints a
-block's shortest digits as a row template, each row waiting for its axis
-cell, and one % fill puts the axis cells in.  A few C-level string passes
-rewrite the text into repr's exponent and small-number forms; each runs only
-on a block holding a cell whose |x| lies in the band it rewrites, which is
-exact because the exponent of the shortest digits changes at fl(10**k).  The
-first column of every file is a time or detuning axis; its formatted text is
-memoised, newline-joined per block, for the last two distinct axes, so the
-artifacts of one pipeline format each axis once.  Readers take ASCII text
-only, and a cell follows Python's float grammar, so spaces, tabs and 1_0
-are accepted and a '#' is a malformed cell, not a comment.  A file of rows
-of JSON numbers, as every file this package writes is, is parsed by orjson
-in blocks of READ_BLOCK_BYTES into one preallocated array.  A block holding
-any other byte, a row of another width, a number orjson rejects or an
-integer -0 (which orjson reads as +0) sends the whole file to one
-np.loadtxt pass that hands each cell to float, so both paths give the same
-values and every error comes from the second.  Readers reject non-finite
-cells and read the axis back as the SamplingGrid whose own times() or
-detunings() equal it, so the grid a writer used is the grid read back; an
-axis that no grid reproduces must be uniform to 1e-6 relative.
+are formatted and written in blocks of BLOCK_ROWS.  One orjson call prints a
+block's data cells, flattened in row order, as one 1-D array of shortest
+digits (orjson pays a large cost per row of a 2-D array).  A few C-level
+string passes rewrite the text into repr's exponent and small-number forms;
+each runs only on a block holding a cell whose |x| lies in the band it
+rewrites, which is exact because the exponent of the shortest digits changes
+at fl(10**k).  The first column of every file is a time or detuning axis,
+formatted the same way; its text is memoised, newline-joined per block, for
+the last two distinct axes, so the artifacts of one pipeline format each
+axis once.  A block's axis text, each line end turned into the row's data
+slots, is the row template, and one % fill puts the data cells in.  Readers
+take ASCII text only, and a cell follows Python's float grammar, so spaces,
+tabs and 1_0 are accepted and a '#' is a malformed cell, not a comment.  A
+file of rows of JSON numbers, as every file this package writes is, is
+parsed by orjson in blocks of READ_BLOCK_BYTES into one preallocated array.
+A block holding any other byte, a row of another width, a number orjson
+rejects or an integer -0 (which orjson reads as +0) sends the whole file to
+one np.loadtxt pass that hands each cell to float, so both paths give the
+same values and every error comes from the second.  Readers reject
+non-finite cells and read the axis back as the SamplingGrid whose own
+times() or detunings() equal it, so the grid a writer used is the grid read
+back; an axis that no grid reproduces must be uniform to 1e-6 relative.
 
 A waveform is written as its field (time_s,field) or as the intensity
 |e|^2 a detector records (time_s,intensity), and either file reads back as
@@ -86,16 +88,16 @@ def _e05(m: re.Match) -> str:
     return f"{m[1]}.{m[2]}e-05" if m[2] else f"{m[1]}e-05"
 
 
-def _format_rows(table: np.ndarray, sep: str) -> str:
-    """The rows of a C-contiguous rows x columns float64 array as CSV lines
-    joined by sep, each cell the text repr gives it; every cell must be finite."""
+def _format_cells(values: np.ndarray) -> str:
+    """The cells of a C-contiguous 1-D float64 array joined by commas, each
+    the text repr gives it; every cell must be finite."""
     import orjson  # loaded on the first write, so processes that never write skip it
 
-    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii")
-    text = text[2:-2].replace("],[", sep)
+    # one flat array: orjson pays a large cost per row of a 2-D one
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii")[1:-1]
     # each pass runs only on a block holding a cell in the band it rewrites;
     # exact, since the shortest digits change exponent at fl(10**k)
-    magnitude = np.abs(table)
+    magnitude = np.abs(values)
     if (magnitude >= 1e16).any():
         text = _UNSIGNED_EXPONENT.sub("e+", text)
     if ((magnitude >= 1e-9) & (magnitude < 1e-5)).any():
@@ -108,18 +110,22 @@ def _format_rows(table: np.ndarray, sep: str) -> str:
 @functools.lru_cache(maxsize=2)
 def _axis_blocks(raw: bytes) -> tuple[str, ...]:
     """Formatted axis values, newline-joined per block of BLOCK_ROWS."""
-    axis = np.frombuffer(raw, dtype=np.float64)[:, None]
-    return tuple(_format_rows(axis[lo:lo + BLOCK_ROWS], "\n")
-                 for lo in range(0, axis.shape[0], BLOCK_ROWS))
+    axis = np.frombuffer(raw, dtype=np.float64)
+    return tuple(_format_cells(axis[lo:lo + BLOCK_ROWS]).replace(",", "\n")
+                 for lo in range(0, axis.size, BLOCK_ROWS))
 
 
-def _reject_non_finite(path, data: np.ndarray) -> None:
-    """Raise on the first non-finite cell, in row order, of a rows x columns array."""
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, col = divmod(int(np.argmin(finite)), data.shape[1])
+def _reject_non_finite(path, columns) -> None:
+    """Raise on the first non-finite cell, in row order, of equal-length columns."""
+    bad = []
+    for col, values in enumerate(columns):
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad.append((int(np.argmin(finite)), col))
+    if bad:
+        row, col = min(bad)
         raise ValidationError(
-            f"{path}: non-finite value {float(data[row, col])} "
+            f"{path}: non-finite value {float(columns[col][row])} "
             f"in data row {row + 1}, column {col + 1}"
         )
 
@@ -133,20 +139,21 @@ def _write_csv(path, header: str, columns) -> None:
         )
     if axis.size < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {axis.size}")
-    _reject_non_finite(path, np.column_stack((axis, *data)))
+    _reject_non_finite(path, (axis, *data))
+    slots = ",%s" * len(data) + "\n"
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")
         for lo, axis_text in zip(range(0, axis.size, BLOCK_ROWS), _axis_blocks(axis.tobytes())):
-            # a template of the block's rows, each waiting for its axis cell
-            rows = _format_rows(np.column_stack([c[lo:lo + BLOCK_ROWS] for c in data]), "\n%s,")
-            f.write(("%s," + rows + "\n") % tuple(axis_text.split("\n")))
+            # the axis text is the row template; the data cells, in row order, fill it
+            cells = _format_cells(np.column_stack([c[lo:lo + BLOCK_ROWS] for c in data]).ravel())
+            f.write((axis_text.replace("\n", slots) + slots) % tuple(cells.split(",")))
 
 
 def write_metrics_csv(path, rows) -> None:
     """Write (name, value) pairs as metric,value rows."""
     rows = [(key, float(value)) for key, value in rows]
-    # 0.0 stands in for each name, so a value keeps its file column number
-    _reject_non_finite(path, np.array([(0.0, value) for _, value in rows]).reshape(-1, 2))
+    # zeros stand in for the names, so a value keeps its file column number
+    _reject_non_finite(path, (np.zeros(len(rows)), np.array([value for _, value in rows])))
     lines = [METRICS_HEADER]
     lines.extend(f"{key},{value!r}" for key, value in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -169,7 +176,7 @@ def _read_csv(path, expected_headers) -> tuple[str, np.ndarray]:
         data = _parse_blocks(raw, start, header.count(",") + 1)
     if data is None:
         header, data = _parse_lines(path, read_ascii_text(path), expected_headers)
-    _reject_non_finite(path, data)
+    _reject_non_finite(path, data.T)
     return header, data
 
 

@@ -89,3 +89,36 @@ def test_file_has_the_trajectory_format():
 def test_seed_range():
     assert bench_pairs.seed_range("101-103") == [101, 102, 103]
     assert bench_pairs.seed_range("7") == [7]
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    for name, text in {"BENCHMARK.json": json.dumps({"paths": ["perfbench"]}), **files}.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_unequal_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    same = {"perfbench/run.py": "run", "perfbench/sub/inputs.py": "inputs", "src/a.py": "a"}
+    parent = _tree(tmp_path / "parent", {**same, "perfbench/__pycache__/run.pyc": "old"})
+    change = _tree(tmp_path / "change", {**same, "perfbench/__pycache__/run.pyc": "new",
+                                         "src/a.py": "changed"})
+    # only the code under test and the bytecode caches differ
+    assert bench_pairs.first_difference(parent, change) is None
+    (change / "perfbench/sub/inputs.py").write_text("other inputs")
+    (change / "perfbench/smoke.py").write_text("only in the change")
+    assert bench_pairs.first_difference(parent, change) == "perfbench/smoke.py"
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--out", str(out), "--change-text", "c", "--seeds", "1"]
+    assert bench_pairs.main(argv) == 2
+    assert "first at perfbench/smoke.py" in capsys.readouterr().err
+    assert not out.exists()
+    (change / "perfbench/smoke.py").unlink()
+    assert bench_pairs.first_difference(parent, change) == "perfbench/sub/inputs.py"
+    (change / "BENCHMARK.json").write_text(json.dumps({"paths": ["perfbench", "tools"]}))
+    assert bench_pairs.first_difference(parent, change) == "BENCHMARK.json"
+    assert bench_pairs.main(argv) == 2

@@ -170,24 +170,27 @@ def _passes_run(monkeypatch) -> list[str]:
     return log
 
 
-def _neutral_columns(n: int) -> list[np.ndarray]:
-    """An axis and a data column whose cells no rewrite pass touches."""
-    return [np.arange(n) * 0.25, np.full(n, 0.5)]
+def _neutral_columns(n: int, n_cols: int = 2) -> list[np.ndarray]:
+    """An axis and data columns of distinct cells no rewrite pass touches."""
+    return [np.arange(n) * 0.25] + [np.full(n, 0.25 * j + 0.25) for j in range(1, n_cols)]
 
 
 @pytest.mark.parametrize("layout", ["edges", "whole"])
-@pytest.mark.parametrize("col", [0, 1], ids=["axis", "data"])
+@pytest.mark.parametrize("n_cols, col", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
+                         ids=["axis", "data", "spectrum-axis", "spectrum-re", "spectrum-im"])
 @pytest.mark.parametrize("value", SIGNED_GUARD_EDGES, ids=repr)
-def test_rewrite_runs_on_exactly_the_blocks_that_need_it(tmp_path, monkeypatch, value, col, layout):
-    # the value fills the second block's first and last rows, or all of it
+def test_rewrite_runs_on_exactly_the_blocks_that_need_it(tmp_path, monkeypatch, value, n_cols,
+                                                         col, layout):
+    # the value fills the second block's first and last rows, or all of it; in the
+    # 3-column layout its place in the text pins the row order of the data cells
     n = 2 * BLOCK_ROWS
-    cols = _neutral_columns(n)
+    cols = _neutral_columns(n, n_cols)
     cols[col][[BLOCK_ROWS, n - 1] if layout == "edges" else slice(BLOCK_ROWS, n)] = value
     _axis_blocks.cache_clear()
     log = _passes_run(monkeypatch)
     path = tmp_path / "edge.csv"
-    _write_csv(path, HEADERS[2], cols)
-    assert path.read_text() == reference_text(HEADERS[2], cols)
+    _write_csv(path, HEADERS[n_cols], cols)
+    assert path.read_text() == reference_text(HEADERS[n_cols], cols)
     need = GUARD_EDGES[abs(value)]
     assert log == ([need] if need else [])
 
@@ -250,10 +253,11 @@ def test_writer_peak_memory_is_one_table_copy_plus_a_block(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the stacked copy the finite check scans (1536 KiB) and its mask (192 KiB),
-    # plus one block's arrays and text: 1729 KiB measured.  The file's whole
-    # text (about 4 MiB) or one more copy of the table would break the bound.
-    assert peak < 2048 * 1024
+    # the axis bytes the memo is keyed on (512 KiB), freed before the first
+    # block, whose arrays and text take about 285 KiB: 517 KiB measured.  A
+    # copy of the table (1536 KiB) or the file's whole text (about 3.4 MiB)
+    # would break the bound.
+    assert peak < 640 * 1024
     assert path.stat().st_size > 2 * peak
 
 

@@ -10,6 +10,10 @@ W that BENCHMARK.json declares and its run_seconds T, so that the runs are the
 benchmark's own.  For each workload and seed the two checkouts run back to
 back, and the one that runs first alternates from one seed to the next.
 
+Both checkouts must hold the same benchmark: BENCHMARK.json and every file
+under the paths it declares, __pycache__ aside.  Otherwise the runner exits 2
+before any run, naming the first file that differs.
+
 The file holds, per workload and side, the median of each metric over its
 runs and the totals of attempted and failed pipelines, in the format
 tests/test_bench_trajectory.py reads, and every run's metric values under
@@ -30,6 +34,32 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def benchmark_files(checkout: Path) -> set[Path]:
+    """BENCHMARK.json and every file under the paths it declares, relative to
+    the checkout, without __pycache__."""
+    bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    files = {Path("BENCHMARK.json")}
+    for top in (checkout / p for p in bench["paths"]):
+        for path in [top] if top.is_file() else top.rglob("*"):
+            name = path.relative_to(checkout)
+            if path.is_file() and "__pycache__" not in name.parts:
+                files.add(name)
+    return files
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, in path order, that one checkout lacks or
+    that differs between the two; None when their benchmarks are the same."""
+    def same(name: Path) -> bool:
+        a, b = parent / name, change / name
+        return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+
+    if not same(Path("BENCHMARK.json")):  # the paths to compare come from it
+        return "BENCHMARK.json"
+    names = benchmark_files(parent) | benchmark_files(change)
+    return next((str(name) for name in sorted(names) if not same(name)), None)
 
 
 def parse_result(stdout: str) -> dict:
@@ -140,10 +170,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="seed range A-B, one pair per seed")
     args = parser.parse_args(argv)
 
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    differs = first_difference(checkouts["parent"], checkouts["change"])
+    if differs:
+        print(f"bench_pairs: the checkouts' benchmarks differ, first at {differs}",
+              file=sys.stderr)
+        return 2
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results, pairs = {}, {}
     for workload in [w["name"] for w in bench["workloads"]]:
         results[workload] = {side: [] for side in SIDES}
