@@ -181,10 +181,7 @@ def default_grid(spec: PulseSpec) -> SamplingGrid:
     window = max(16.0 * spec.t0, 8.0 / spectral_fwhm)
     # PulseSpec's domain keeps this below about 7e38, a float math.ceil takes
     needed = max(2.0 * 8.0 * f_top * window, 4.0 * window / spec.t0)
-    n_needed = max(8, math.ceil(needed))
-    n = 8
-    while n < n_needed:
-        n *= 2
+    n = 1 << (max(8, math.ceil(needed)) - 1).bit_length()
     return SamplingGrid(n=n, dt=window / n, t_start=spec.center - window / 2.0)
 
 

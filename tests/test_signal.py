@@ -100,6 +100,20 @@ def test_default_grid_satisfies_design_rules(gauss_spec, amg_spec):
         assert grid.n & (grid.n - 1) == 0
 
 
+@pytest.mark.parametrize("target, n", [(4095.5, 4096), (4096.5, 8192), (2**20 - 0.5, 2**20),
+                                       (2**20 + 0.5, 2**21)])
+def test_default_grid_n_is_the_least_power_of_two_covering_the_needed_count(target, n):
+    # an AMG pulse whose Nyquist rule asks for target samples, just below or
+    # just above a power of two
+    fwhm = gaussian_spectral_fwhm(T0)
+    window = max(16.0 * T0, 8.0 / fwhm)
+    spec = PulseSpec(AMG, T0, 1.0, target / (16.0 * window) - fwhm)
+    needed = max(16.0 * (fwhm + spec.mod_freq) * window, 4.0 * window / T0)
+    grid = default_grid(spec)
+    assert grid.n == n
+    assert n // 2 < needed <= n
+
+
 def test_gaussian_peak_and_half_points():
     # grid chosen so that center and center +- t0 are exact samples
     spec = PulseSpec(GAUSSIAN, T0, center=0.0)
