@@ -25,6 +25,31 @@ MOD_FREQ = 700e3
 MOD_DEPTH = 1.0
 
 
+def assert_same_text(got, expected, note=None) -> None:
+    """Assert that two texts, or two byte strings, are equal.
+
+    A mismatch reports the first differing offset, its line number and that
+    line of each side, not a diff of the whole texts, so a broken writer on a
+    file of thousands of rows fails in milliseconds.
+    """
+    __tracebackhide__ = True
+    if got == expected:
+        return
+    i = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+             min(len(got), len(expected)))
+    newline = "\n" if isinstance(got, str) else b"\n"
+    start = got.rfind(newline, 0, i) + 1
+
+    def line_at(text):
+        end = text.find(newline, start)
+        return text[start:end if end >= 0 else len(text)]
+
+    raise AssertionError(
+        f"texts differ at offset {i} (lengths {len(got)} and {len(expected)}), "
+        f"line {got.count(newline, 0, i) + 1}:\n  got:      {line_at(got)!r}\n"
+        f"  expected: {line_at(expected)!r}" + (f"\n  {note}" if note is not None else ""))
+
+
 @pytest.fixture(scope="session")
 def calibrated():
     return calibrate_from_transmission(WINDOW_PEAK, WINDOW_BACKGROUND, WINDOW_FWHM)

@@ -42,6 +42,8 @@ from slowlight.io import (
 from slowlight.signal import SamplingGrid, Waveform
 from slowlight.spectral import Spectrum
 
+from conftest import assert_same_text
+
 HEADERS = {2: "time_s,field", 3: "detuning_hz,re,im"}
 EDGE_LENGTHS = (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
@@ -129,7 +131,7 @@ def test_writer_bytes_match_reference_and_parse_back_exactly(csv_file, n, n_cols
         assert not csv_file.exists()
         return
     _write_csv(csv_file, header, list(table))
-    assert csv_file.read_bytes() == reference_text(header, table).encode("ascii")
+    assert_same_text(csv_file.read_bytes(), reference_text(header, table).encode("ascii"))
     got_header, parsed = _read_csv(csv_file, {header})
     assert got_header == header
     assert parsed.tobytes() == np.ascontiguousarray(table.T).tobytes()
@@ -154,8 +156,8 @@ def test_block_edges_and_axis_memo(tmp_path, n, n_cols):
     _write_csv(again, header, other)
     memo = _axis_blocks.cache_info()
     assert (memo.hits, memo.misses, memo.maxsize) == (1, 1, 2)  # only the axis is memoised
-    assert first.read_text() == reference_text(header, cols)
-    assert again.read_text() == reference_text(header, other)
+    assert_same_text(first.read_text(), reference_text(header, cols))
+    assert_same_text(again.read_text(), reference_text(header, other))
 
 
 def _passes_run(monkeypatch) -> list[str]:
@@ -190,7 +192,7 @@ def test_rewrite_runs_on_exactly_the_blocks_that_need_it(tmp_path, monkeypatch, 
     log = _passes_run(monkeypatch)
     path = tmp_path / "edge.csv"
     _write_csv(path, HEADERS[n_cols], cols)
-    assert path.read_text() == reference_text(HEADERS[n_cols], cols)
+    assert_same_text(path.read_text(), reference_text(HEADERS[n_cols], cols))
     need = GUARD_EDGES[abs(value)]
     assert log == ([need] if need else [])
 
@@ -205,7 +207,7 @@ def test_rewrites_of_mixed_threshold_cells(tmp_path, monkeypatch):
         cols[1][[0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]] = (a, b, b, a)
         log.clear()
         _write_csv(path, HEADERS[2], cols)
-        assert path.read_text() == reference_text(HEADERS[2], cols), (a, b)
+        assert_same_text(path.read_text(), reference_text(HEADERS[2], cols), (a, b))
         needs = {GUARD_EDGES[abs(a)], GUARD_EDGES[abs(b)]} - {None}
         assert sorted(log) == sorted(2 * list(needs)), (a, b)
 
@@ -238,7 +240,7 @@ def test_bulk_writer_bytes_match_reference(tmp_path):
     path = tmp_path / "bulk.csv"
     _write_csv(path, HEADERS[3], (axis, bits, magnitudes))
     expected = reference_text(HEADERS[3], (axis.tolist(), bits.tolist(), magnitudes.tolist()))
-    assert path.read_bytes() == expected.encode("ascii")
+    assert_same_text(path.read_bytes(), expected.encode("ascii"))
 
 
 def test_writer_peak_memory_is_one_table_copy_plus_a_block(tmp_path):
