@@ -2,11 +2,14 @@
 
 No benchmark runs: the results below stand in for the last stdout line of
 perfbench/run.py, and the file built from them must pass the trajectory
-test's checks.
+test's checks.  The one end-to-end test runs a stub perfbench/run.py that
+prints such a line.
 """
 
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -122,3 +125,41 @@ def test_unequal_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch, ca
     (change / "BENCHMARK.json").write_text(json.dumps({"paths": ["perfbench", "tools"]}))
     assert bench_pairs.first_difference(parent, change) == "BENCHMARK.json"
     assert bench_pairs.main(argv) == 2
+
+
+STUB_RUN = """\
+import json, sys, time
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+while time.process_time() < 0.05:  # CPU time the runner must see as the child's
+    pass
+print("# stub", args["--workload"], args["--seed"])
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+    "latency_tail_ms": {"value": 30.0 + int(args["--seed"]), "unit": "ms"}}}))
+"""
+
+
+def test_each_run_records_its_conditions_and_the_file_its_environment(tmp_path, capsys):
+    bench = {"paths": ["perfbench"], "run_seconds": 0.5,
+             "workloads": [{"name": "scenarios", "why": "a stub"}],
+             "end_to_end": [{"name": "latency_tail_ms", "unit": "ms", "better": "lower",
+                             "bound": 0.25}]}
+    stub = {"BENCHMARK.json": json.dumps(bench), "perfbench/run.py": STUB_RUN}
+    parent, change = _tree(tmp_path / "parent", stub), _tree(tmp_path / "change", stub)
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--out", str(out), "--change-text", "c", "--seeds", "1-2"]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["scenarios"]["change"]["metrics"]["latency_tail_ms"]["value"] == 31.5
+    for pair in doc["pairs"]["scenarios"]:
+        assert pair["parent"] == pair["change"] == {"latency_tail_ms": 30.0 + pair["seed"]}
+        for side in ("parent", "change"):
+            run = pair["conditions"][side]
+            assert sorted(run) == ["cpu_s", "wall_s"]
+            assert 0.05 <= run["cpu_s"] and 0.05 <= run["wall_s"]
+    env = doc["environment"]
+    assert sorted(env) == ["PYTHONDONTWRITEBYTECODE", "cpu_count", "loadavg_end",
+                           "loadavg_start", "numpy", "orjson", "python"]
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["python"] == platform.python_version()
+    assert len(env["loadavg_start"]) == len(env["loadavg_end"]) == 3
+    assert "cpu/wall=" in capsys.readouterr().err

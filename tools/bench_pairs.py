@@ -17,7 +17,12 @@ before any run, naming the first file that differs.
 The file holds, per workload and side, the median of each metric over its
 runs and the totals of attempted and failed pipelines, in the format
 tests/test_bench_trajectory.py reads, and every run's metric values under
-`pairs`.  The printed table gives each metric's median and quartiles per side,
+`pairs`, each pair with its two runs' conditions: the child's CPU time and
+its wall time.  The workloads are single-threaded, so a CPU/wall ratio well
+below 1 marks a run that something else held the CPU from.  Under
+`environment` it records the interpreter, numpy and orjson versions, the CPU
+count, PYTHONDONTWRITEBYTECODE and the load average before and after the
+runs.  The printed table gives each metric's median and quartiles per side,
 the pairs the change won (ties count for neither side), and whether a gain
 could be claimed: the change wins at least nine tenths of the pairs, and the
 medians differ by more than the parent's interquartile range.
@@ -28,9 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import resource
 import statistics
 import subprocess
 import sys
+import time
+from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -70,17 +79,32 @@ def parse_result(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in a fresh process; a run whose checks fail keeps its result."""
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run in a fresh process, and its conditions: the child's
+    CPU time and wall time in seconds.  A run whose checks fail keeps its result."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
+    cpu, wall = _children_cpu_s(), time.perf_counter()
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           stdin=subprocess.DEVNULL)
+    conditions = {"cpu_s": _children_cpu_s() - cpu, "wall_s": time.perf_counter() - wall}
     try:
-        return parse_result(proc.stdout)
+        return parse_result(proc.stdout), conditions
     except ValueError:
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode} "
                            f"without a result:\n{proc.stderr[-2000:]}") from None
+
+
+def environment() -> dict:
+    """What every run of one invocation shares: interpreter, libraries, machine."""
+    return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
+            "orjson": metadata.version("orjson"), "cpu_count": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -179,20 +203,24 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    env = {**environment(), "loadavg_start": os.getloadavg()}
     results, pairs = {}, {}
     for workload in [w["name"] for w in bench["workloads"]]:
         results[workload] = {side: [] for side in SIDES}
         pairs[workload] = []
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
+            pair, ran = {"seed": seed, "first": order[0]}, {}
             for side in order:
-                result = run_once(checkouts[side], workload, seed, seconds)
+                result, conditions = run_once(checkouts[side], workload, seed, seconds)
                 results[workload][side].append(result)
                 pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
+                ran[side] = conditions
                 print(f"{workload} seed {seed} {side}: correct={result['correct']} "
-                      f"failed={result['failed']}", file=sys.stderr, flush=True)
-            pairs[workload].append(pair)
+                      f"failed={result['failed']} "
+                      f"cpu/wall={conditions['cpu_s'] / conditions['wall_s']:.3f}",
+                      file=sys.stderr, flush=True)
+            pairs[workload].append({**pair, "conditions": ran})
         print("\n".join(report(workload, pairs[workload], better)), flush=True)
 
     seeds = f"{args.seeds[0]}-{args.seeds[-1]}"
@@ -200,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
             f"--trace 0, seeds {seeds}, parent and change alternating which runs first, "
             f"on one machine of {os.cpu_count()} CPUs")
     doc = bench_file(args.change_text, runs, results, pairs)
+    doc["environment"] = {**env, "loadavg_end": os.getloadavg()}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0 if all(r["correct"] for by_side in results.values()
                     for side in by_side.values() for r in side) else 1
