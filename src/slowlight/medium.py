@@ -78,11 +78,14 @@ def intensity_transmission(m: EitMedium, delta):
     return amplitude_response(m, delta) ** 2
 
 
-# the shallowest window calibrate_from_transmission fits: its half-width
-# condition spans 2z of exp's range near 1, where float64 steps by 1.1e-16,
-# so below z = 1e-6 the fitted half level drifts by more than 1e-10 of the
-# window's depth (at z = 1.1e-16, background = nextafter(peak, 0), gamma_eit
-# came out 303.1 kHz for a 350 kHz FWHM instead of 175.0 kHz)
+# the shallowest window calibrate_from_transmission fits.  Its closed form
+# gives gamma_eit at any depth (175.0 kHz for a 350 kHz FWHM even at
+# z = 1.1e-16, background = nextafter(peak, 0)), but the fitted model must
+# also show the half level, and intensity_transmission rounds T near the
+# peak to float64 steps of about 1.1e-16.  On the bundled window (peak
+# 0.615, FWHM 350 kHz) T(fwhm/2) misses the half level by 9.0e-11 of the
+# window's depth at z = 1e-6, 9.0e-8 at 1e-9, 9.0e-5 at 1e-12 and the whole
+# depth at 1.1e-16.
 _MIN_CALIBRATED_Z = 1e-6
 
 
@@ -93,7 +96,8 @@ def calibrate_from_transmission(peak: float, background: float, fwhm: float) -> 
     T(+-fwhm/2) = (peak + background)/2, the half level above the pedestal.
     scale = peak and z = ln(peak/background)/2 follow directly; the half-width
     condition exp(-2 z x) = (1 + e^(-2z))/2 with x = delta_h^2/(delta_h^2 +
-    gamma^2) is solved by bisection on x in (0, 1).
+    gamma^2) has the root x = -log1p(expm1(-2z)/2)/(2z), which log1p and expm1
+    evaluate without cancellation at every depth.
 
     background must be at least 1/SCALE, so z <= 20.8, and the window at
     least _MIN_CALIBRATED_Z deep; fwhm must lie in [2/SCALE, SCALE/4], which
@@ -114,17 +118,7 @@ def calibrate_from_transmission(peak: float, background: float, fwhm: float) -> 
             f"background {background} lies above peak * exp(-2e-6) = {peak * math.exp(-2e-6)}: "
             f"a window shallower than z = {_MIN_CALIBRATED_Z:g} has no resolvable half width"
         )
-    target = 0.5 * (1.0 + math.exp(-2.0 * z))
-
-    # exp(-2 z x) - target is monotone decreasing on (0, 1) and brackets 0.
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if math.exp(-2.0 * z * mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = -math.log1p(math.expm1(-2.0 * z) / 2.0) / (2.0 * z)
 
     gamma = (fwhm / 2.0) * math.sqrt((1.0 - x) / x)
     return EitMedium(gamma_eit=gamma, z=z, scale=scale)
