@@ -236,8 +236,7 @@ def _exact_gamma(peak: float, background: float, fwhm: float) -> Decimal:
 
 
 # the largest error measured over 120,000 random windows of this domain was
-# 3.55 ulp, against up to 1.06e6 ulp (1.2e-10 relative) for the bisection
-# the closed form replaced
+# 3.55 ulp
 @settings(max_examples=200)
 @given(peak=st.floats(min_value=0.2, max_value=1.0),
        log_z=st.floats(min_value=-6.0, max_value=math.log10(0.5 * math.log(1e8))),
